@@ -101,9 +101,12 @@ _RELOC_RE = re.compile(r"^%\w+\(.*\)$")
 
 
 def _parse_int(text: str) -> int | None:
-    if _INT_RE.match(text):
+    if not _INT_RE.match(text):
+        return None
+    try:
         return int(text, 0)
-    return None
+    except ValueError:  # leading-zero decimals such as 08 or 010
+        return None
 
 
 def _squeeze(text: str) -> str:
@@ -652,7 +655,3 @@ def static_register_profile(unit: AssemblyUnit) -> dict[str, RegisterProfile]:
             do_write(r, lineno)
 
     return profiles
-
-
-def function_lines(unit: AssemblyUnit, span: FunctionSpan) -> tuple[Line, ...]:
-    return unit.lines[span.start_line : span.end_line]

@@ -16,7 +16,7 @@ import random
 import subprocess
 import tempfile
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -236,14 +236,13 @@ def build_corpus(
     try:
         with open(tmp_path, "w", encoding="utf-8") as fh:
             with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-                futures = {
-                    pool.submit(
-                        compile_pair, path, target, cfg, tokenizer_spec
-                    ): path
+                # written in submission order (sorted paths), not completion
+                # order, so the store is the same bytes for every jobs value
+                futures = [
+                    (path, pool.submit(compile_pair, path, target, cfg, tokenizer_spec))
                     for path in files
-                }
-                for future in as_completed(futures):
-                    path = futures[future]
+                ]
+                for path, future in futures:
                     try:
                         pair = future.result()
                     except (CompileFailed, ToolTimeout) as exc:
@@ -279,27 +278,25 @@ def load_eval_suite(
     suite = Path(suite_dir)
     if not suite.is_dir():
         raise LayoutError(str(suite), "not a directory")
-    pairs: list[TranspilePair] = []
     entries = sorted(p for p in suite.iterdir() if not p.name.startswith("."))
     if not entries:
         raise LayoutError(str(suite), "empty suite directory")
+    # check the whole layout before compiling anything
     for entry in entries:
         if not entry.is_dir():
             raise LayoutError(entry.name, "stray non-directory entry")
-        func_c = entry / "func.c"
-        test_c = entry / "test.c"
-        if not func_c.is_file():
+        if not (entry / "func.c").is_file():
             raise LayoutError(entry.name, "missing func.c")
-        if not test_c.is_file():
+        if not (entry / "test.c").is_file():
             raise LayoutError(entry.name, "missing test.c")
-        pairs.append(
-            compile_pair(
-                func_c,
-                target_isa,
-                cfg,
-                tokenizer_spec,
-                test_source_path=str(test_c),
-                pair_id=entry.name,
-            )
+    return [
+        compile_pair(
+            entry / "func.c",
+            target_isa,
+            cfg,
+            tokenizer_spec,
+            test_source_path=str(entry / "test.c"),
+            pair_id=entry.name,
         )
-    return pairs
+        for entry in entries
+    ]

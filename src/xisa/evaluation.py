@@ -21,6 +21,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from . import toolrun
 from .asmtext import (
     DEFAULT_POLICY,
     AssemblyUnit,
@@ -43,40 +44,57 @@ SUMMARY_SCHEMA = "xisa.summary/v1"
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Minimum single-element insert/delete/substitute count.
 
-    O(len(a)*len(b)) time, one O(min(len)) row of memory.  Works on strings
-    (character granularity) and on lists of lines (line granularity).
+    Works on strings (character granularity) and on lists of lines (line
+    granularity): any hashable atom will do.  After the shared prefix and
+    suffix are stripped, the shorter side of length m becomes a bit vector and
+    the longer side of length n is scanned once, for O(ceil(m/w)*n) machine-word
+    operations (w bits to a word).  This is Myers' bit-vector algorithm
+    (G. Myers, "A fast bit-vector algorithm for approximate string matching
+    based on dynamic programming", JACM 46(3), 1999) in the Levenshtein
+    formulation of H. Hyyrö ("A bit-vector algorithm for computing Levenshtein
+    and Damerau edit distances", Nordic Journal of Computing 10(1), 2003).
+    One Python integer holds a whole DP column as vertical +1/-1 deltas.
     """
     if a == b:
         return 0
+    la, lb = len(a), len(b)
+    if la < lb:
+        a, b, la, lb = b, a, lb, la
     # shared prefixes and suffixes never change the distance
     start = 0
-    end_a, end_b = len(a), len(b)
-    while start < end_a and start < end_b and a[start] == b[start]:
+    while start < lb and a[start] == b[start]:
         start += 1
-    while end_a > start and end_b > start and a[end_a - 1] == b[end_b - 1]:
-        end_a -= 1
-        end_b -= 1
-    a = a[start:end_a]
-    b = b[start:end_b]
-    if len(b) > len(a):
-        a, b = b, a
-    lb = len(b)
-    if lb == 0:
-        return len(a)
-    row = list(range(lb + 1))
-    for i, ca in enumerate(a, 1):
-        diag = row[0]
-        left = row[0] = i
-        for j in range(1, lb + 1):
-            up = row[j]
-            cost = diag if ca == b[j - 1] else diag + 1
-            if left + 1 < cost:
-                cost = left + 1
-            if up + 1 < cost:
-                cost = up + 1
-            row[j] = left = cost
-            diag = up
-    return row[lb]
+    if start == lb:
+        return la - lb
+    while a[la - 1] == b[lb - 1]:
+        la -= 1
+        lb -= 1
+        if lb == start:
+            return la - lb
+    # bit i of peq[atom] is set where b[start + i] == atom
+    peq: dict = {}
+    get = peq.get
+    bit = 1
+    for atom in b[start:lb]:
+        peq[atom] = get(atom, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    # Bit i of pv/mv: D[i+1][j] - D[i][j] is +1/-1 in the current column j.
+    # d0: rows whose diagonal step is 0; ph and d0 & pv: rows whose step from
+    # column j-1 is +1 and -1 (ph already shifted down a row).  "^ mask" stands
+    # in for "~" so every vector stays a non-negative int; bits above m - 1
+    # are don't-cares, and masking pv alone keeps them from piling up.  mv
+    # stays below bit m: a carry into d0's bit m needs pv's bit m - 1 set,
+    # and ph's bit m needs it clear.
+    pv, mv = mask, 0
+    for atom in a[start:la]:
+        eq = get(atom, 0)
+        d0 = (((eq & pv) + pv) ^ pv) | eq | mv
+        ph = (mv | (d0 | pv) ^ mask) << 1 | 1
+        pv = ((d0 & pv) << 1 | (d0 | ph) ^ mask) & mask
+        mv = ph & d0
+    # the last column's deltas sum from D[0][n] = n down to D[m][n]
+    return la - start + pv.bit_count() - mv.bit_count()
 
 
 # --- outcome types -----------------------------------------------------------
@@ -253,7 +271,7 @@ def run_functional(
 
         for step in cmds.assemble_link:
             try:
-                proc = run_build_step(step, mapping, cfg.timeout_compile)
+                proc = toolrun.run_command(step, mapping, cfg.timeout_compile)
             except subprocess.TimeoutExpired:
                 if "{candidate}" in step:
                     logs.append(f"$ {step}\n(timed out)")
@@ -286,7 +304,9 @@ def run_functional(
             )
 
         try:
-            proc = run_build_step(cmds.emulate, {"input": str(binary_path)}, cfg.timeout_run)
+            proc = toolrun.run_command(
+                cmds.emulate, {"input": str(binary_path)}, cfg.timeout_run
+            )
         except subprocess.TimeoutExpired:
             logs.append(f"$ {cmds.emulate}\n(timed out after {cfg.timeout_run}s)")
             return TestOutcome(OutcomeStatus.TIMEOUT), "\n".join(logs)
@@ -297,12 +317,6 @@ def run_functional(
         if rc < 0:
             return TestOutcome.crash(_signal_name(-rc)), "\n".join(logs)
         return TestOutcome.test_failed(rc), "\n".join(logs)
-
-
-def run_build_step(template: str, mapping: dict[str, str], timeout: float):
-    from .toolrun import run_command
-
-    return run_command(template, mapping, timeout)
 
 
 # --- error taxonomy ----------------------------------------------------------

@@ -20,6 +20,7 @@ def have(tool: str) -> bool:
 HAVE_LITE_TOOLCHAIN = have("gcc") and have("clang") and have("ld.lld")
 HAVE_CROSS_GNU = have("arm-linux-gnueabi-gcc") and have("qemu-arm")
 
+needs_gcc = pytest.mark.skipif(not have("gcc"), reason="needs gcc")
 needs_lite = pytest.mark.skipif(
     not HAVE_LITE_TOOLCHAIN, reason="needs gcc + clang + ld.lld"
 )

@@ -50,7 +50,7 @@ def test_criterion_1_levenshtein_oracle_equivalence():
     for length in range(1, 7):
         universe.extend("".join(p) for p in itertools.product("abc", repeat=length))
     # recursive suffix recurrence, memoized bottom-up: an implementation
-    # independent of the two-row DP it checks
+    # independent of the bit-vector algorithm it checks
     memo: dict[tuple[str, str], int] = {}
     by_len = sorted(universe, key=len)
     for a in by_len:

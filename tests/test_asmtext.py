@@ -14,6 +14,8 @@ from xisa.asmtext import (
 )
 from xisa.core import IsaName
 
+from conftest import FIXTURES
+
 
 def test_arm_load_with_negative_offset():
     unit = parse_assembly("ldr r1, [fp, #-8]", IsaName.ARMV5)
@@ -261,7 +263,7 @@ def test_appendix_operand_shapes_parse_clean(text, isa):
     assert unit.lines[0].kind is LineKind.INSTRUCTION
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -277,3 +279,51 @@ def test_normalize_idempotent_property(text, isa):
     once = normalize(parse_assembly(text, isa))
     again = normalize(parse_assembly(once, isa))
     assert once == again
+
+
+@pytest.mark.parametrize(
+    "text, verbatim",
+    [
+        ("mov r0, #08", "#08"),
+        ("ldr r0, [r1, #09]", "[r1, #09]"),
+        ("mov r0, #010", "#010"),
+        ("mov r0, #0x", "#0x"),
+    ],
+)
+def test_leading_zero_decimal_kept_verbatim(text, verbatim):
+    unit = parse_assembly(text, IsaName.ARMV5)
+    op = unit.lines[0].instruction.operands[1]
+    assert op.kind is OperandKind.OTHER and op.text == verbatim
+    assert op.value is None and op.offset is None
+
+
+_ARM_CORPUS_LINES = [
+    line
+    for path in sorted((FIXTURES / "arm_corpus").glob("*.s"))
+    for line in path.read_text(encoding="utf-8").splitlines()
+    if line.strip()
+]
+_EDIT_ALPHABET = "rx0123456789, #[]"
+
+
+@st.composite
+def _edited_corpus_line(draw):
+    line = draw(st.sampled_from(_ARM_CORPUS_LINES))
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        pos = draw(st.integers(min_value=0, max_value=len(line)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        ch = draw(st.sampled_from(_EDIT_ALPHABET))
+        if op == "insert":
+            line = line[:pos] + ch + line[pos:]
+        elif op == "delete":
+            line = line[:pos] + line[pos + 1 :]
+        else:
+            line = line[:pos] + ch + line[pos + 1 :]
+    return line
+
+
+@settings(max_examples=500, deadline=None)
+@given(line=_edited_corpus_line())
+@example(line="\tldr\tr3, [fp, #08]")
+def test_parse_never_raises_on_edited_corpus_lines(line):
+    parse_assembly(line, IsaName.ARMV5)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, needs_lite
+from conftest import CONFIGS, FIXTURES, needs_gcc, needs_lite
+from xisa.cli import main as cli_main
 from xisa.core import IsaName, parse_config
 from xisa.dataset import (
     build_corpus,
@@ -231,3 +232,19 @@ def test_compile_timeout_maps_to_tool_timeout(tmp_path):
 
     with pytest.raises(ToolTimeout):
         compile_pair(src, IsaName.ARMV5, cfg)
+
+
+@needs_gcc
+def test_build_store_bytes_independent_of_jobs(tmp_path):
+    stores = []
+    for jobs in ("1", "2"):
+        store = tmp_path / f"jobs{jobs}.ndjson"
+        rc = cli_main(
+            ["dataset", "build", "--src", str(C_CORPUS), "--target", "x86_64",
+             "--jobs", jobs, "--config", str(CONFIGS / "clang-lite.cfg"),
+             "--out", str(store)]
+        )
+        assert rc == 0
+        stores.append(store.read_bytes())
+    assert stores[0] == stores[1]
+    assert stores[0].count(b"\n") == len(list(C_CORPUS.glob("*.c")))

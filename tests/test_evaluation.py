@@ -57,6 +57,16 @@ def oracle_levenshtein(a: str, b: str) -> int:
     return rec(a, b)
 
 
+def dp_levenshtein(a, b) -> int:
+    """Two-row dynamic-programming oracle, for inputs too long to recurse on."""
+    row = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        diag, row[0] = row[0], i
+        for j, cb in enumerate(b, 1):
+            diag, row[j] = row[j], min(row[j] + 1, row[j - 1] + 1, diag + (ca != cb))
+    return row[-1]
+
+
 def test_levenshtein_identity():
     for s in ("", "a", "assembly text", "mov r0, #0\n"):
         assert levenshtein(s, s) == 0
@@ -89,6 +99,83 @@ def test_levenshtein_metric_axioms(a, b, c):
     assert d_ab == levenshtein(b, a)
     assert (d_ab == 0) == (a == b)
     assert d_ab <= levenshtein(a, c) + levenshtein(c, b)
+
+
+def test_dp_oracle_agrees_with_recursive_oracle():
+    assert dp_levenshtein("kitten", "sitting") == 3
+    for a, b in (("", "ab"), ("abc", ""), ("flaw", "lawn"), ("abcb", "bcab")):
+        assert dp_levenshtein(a, b) == oracle_levenshtein(a, b)
+
+
+def _edited(draw, base: list, alphabet) -> list:
+    out = list(base)
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        pos = draw(st.integers(min_value=0, max_value=len(out)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        atom = draw(st.sampled_from(alphabet))
+        if op == "insert":
+            out.insert(pos, atom)
+        elif out and pos < len(out):
+            if op == "delete":
+                del out[pos]
+            else:
+                out[pos] = atom
+    return out
+
+
+@st.composite
+def _word_boundary_pairs(draw):
+    """A string of 1, 63, 64, 65 or a few hundred atoms and an edited copy,
+    so the bit-vector column ends on either side of a machine word."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 128, 129, 300]))
+    base = draw(st.text(alphabet="abcd", min_size=n, max_size=n))
+    other = "".join(_edited(draw, base, "abcde"))
+    return (base, other) if draw(st.booleans()) else (other, base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_word_boundary_pairs())
+def test_levenshtein_matches_dp_across_word_boundaries(pair):
+    a, b = pair
+    assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.text(alphabet="ab", min_size=60, max_size=70),
+    b=st.text(alphabet="ab", min_size=0, max_size=140),
+)
+def test_levenshtein_matches_dp_on_unrelated_strings(a, b):
+    assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+
+_LINES = ["mov r0, #1", "mov r0, #2", "ldr r3, [fp, #-8]", "bx lr", "add r1, r2, r3", ""]
+
+
+@st.composite
+def _line_list_pairs(draw):
+    base = draw(st.lists(st.sampled_from(_LINES), max_size=90))
+    return base, _edited(draw, base, _LINES + ["nop"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_line_list_pairs())
+def test_levenshtein_line_atoms_match_dp(pair):
+    a, b = pair
+    assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prefix=st.text(alphabet="abc", max_size=80),
+    suffix=st.text(alphabet="abc", max_size=80),
+    a=st.text(alphabet="abc", max_size=12),
+    b=st.text(alphabet="abc", max_size=12),
+)
+def test_levenshtein_shared_prefix_and_suffix(prefix, suffix, a, b):
+    x, y = prefix + a + suffix, prefix + b + suffix
+    assert levenshtein(x, y) == dp_levenshtein(x, y)
+    assert levenshtein(x, y) == levenshtein(a, b)
 
 
 # --- syntactic scoring ----------------------------------------------------------
