@@ -11,11 +11,14 @@ Only x86 AT&T syntax is parsed on the x86 side; Intel syntax is out of scope.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from types import MappingProxyType
 
 from .core import Isa, IsaName, SyntaxFamily, get_isa
 
@@ -163,7 +166,7 @@ def _split_operands(text: str) -> list[str]:
 def _att_operand(text: str, isa: Isa) -> Operand:
     if text.startswith("%"):
         name = text[1:].lower()
-        if name in isa.register_set:
+        if name in isa.registers:
             return Operand(OperandKind.REGISTER, text, register=name)
         return Operand(OperandKind.OTHER, text)  # register-shaped, unknown name
     if text.startswith("$"):
@@ -181,12 +184,12 @@ def _att_operand(text: str, isa: Isa) -> Operand:
         scale = None
         ok = True
         if body and body[0]:
-            if body[0].startswith("%") and body[0][1:].lower() in isa.register_set:
+            if body[0].startswith("%") and body[0][1:].lower() in isa.registers:
                 base = body[0][1:].lower()
             else:
                 ok = False
         if len(body) >= 2 and body[1]:
-            if body[1].startswith("%") and body[1][1:].lower() in isa.register_set:
+            if body[1].startswith("%") and body[1][1:].lower() in isa.registers:
                 index = body[1][1:].lower()
             else:
                 ok = False
@@ -217,7 +220,7 @@ def _arm_memory(text: str, isa: Isa) -> Operand:
     base = index = None
     offset = None
     scale = None
-    ok = bool(parts) and parts[0].lower() in isa.register_set
+    ok = bool(parts) and parts[0].lower() in isa.registers
     if ok:
         base = parts[0].lower()
         rest = parts[1:]
@@ -226,7 +229,7 @@ def _arm_memory(text: str, isa: Isa) -> Operand:
             if first.startswith("#"):
                 offset = _parse_int(first[1:])
                 ok = offset is not None and len(rest) == 1
-            elif first.lower().lstrip("+-") in isa.register_set:
+            elif first.lower().lstrip("+-") in isa.registers:
                 index = first.lower().lstrip("+-")
                 if len(rest) == 2:
                     scale = _squeeze(rest[1])
@@ -249,9 +252,9 @@ def _arm_memory(text: str, isa: Isa) -> Operand:
 
 def _arm_operand(text: str, isa: Isa) -> Operand:
     low = text.lower()
-    if low in isa.register_set:
+    if low in isa.registers:
         return Operand(OperandKind.REGISTER, text, register=low)
-    if low.endswith("!") and low[:-1] in isa.register_set:
+    if low.endswith("!") and low[:-1] in isa.registers:
         return Operand(OperandKind.REGISTER, text, register=low[:-1])  # writeback
     if text.startswith("#"):
         value = _parse_int(text[1:])
@@ -278,13 +281,13 @@ def _arm_operand(text: str, isa: Isa) -> Operand:
 
 def _riscv_operand(text: str, isa: Isa) -> Operand:
     low = text.lower()
-    if low in isa.register_set:
+    if low in isa.registers:
         return Operand(OperandKind.REGISTER, text, register=low)
     value = _parse_int(text)
     if value is not None:
         return Operand(OperandKind.IMMEDIATE, text, value=value)
     m = re.match(r"^(?P<disp>.*)\((?P<base>[\w$.]+)\)$", text)
-    if m and m.group("base").lower() in isa.register_set:
+    if m and m.group("base").lower() in isa.registers:
         disp = m.group("disp").strip()
         offset = _parse_int(disp) if disp else None
         if offset is not None or not disp or _RELOC_RE.match(disp):
@@ -450,10 +453,6 @@ class RegisterProfile:
     overwrite_without_read_lines: list[int] = field(default_factory=list)
 
 
-# Mnemonics whose written operand is not also read (straight moves and loads).
-_PURE_WRITE_PREFIXES = ("mov", "ldr", "lw", "ld", "lb", "lh", "li", "lui", "la",
-                        "mv", "mvn", "lea", "pop", "set")
-
 # Registers implicitly read / written by calls, per ISA.
 _CALL_EFFECTS: dict[IsaName, tuple[tuple[str, ...], tuple[str, ...]]] = {
     IsaName.X86_64: (("rdi", "rsi", "rdx", "rcx", "r8", "r9"), ("rax", "rdx")),
@@ -464,89 +463,39 @@ _CALL_EFFECTS: dict[IsaName, tuple[tuple[str, ...], tuple[str, ...]]] = {
 
 _CALL_MNEMONICS = {"call", "bl", "blx", "blr", "jal", "jalr"}
 
-_X86_SUBREG_CANON: dict[str, str] = {}
-for _i, (_r64, _r32, _r16, _r8) in enumerate(
-    zip(
-        ["rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi"],
-        ["eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"],
-        ["ax", "cx", "dx", "bx", "sp", "bp", "si", "di"],
-        ["al", "cl", "dl", "bl", "spl", "bpl", "sil", "dil"],
-    )
-):
-    for _alias in (_r64, _r32, _r16, _r8):
-        _X86_SUBREG_CANON[_alias] = _r64
-for _r8h, _r64 in zip(["ah", "ch", "dh", "bh"], ["rax", "rcx", "rdx", "rbx"]):
-    _X86_SUBREG_CANON[_r8h] = _r64
-for _i in range(8, 16):
-    for _suffix in ("", "d", "w", "b"):
-        _X86_SUBREG_CANON[f"r{_i}{_suffix}"] = f"r{_i}"
 
-_ARM_ALIAS_CANON = {"fp": "r11", "ip": "r12", "sp": "r13", "lr": "r14", "pc": "r15"}
-_ARMV8_ALIAS_CANON = {"fp": "x29", "lr": "x30"}
-_RISCV_ABI_CANON = {
-    "zero": "x0", "ra": "x1", "sp": "x2", "gp": "x3", "tp": "x4",
-    "t0": "x5", "t1": "x6", "t2": "x7", "s0": "x8", "fp": "x8", "s1": "x9",
-    "a0": "x10", "a1": "x11", "a2": "x12", "a3": "x13", "a4": "x14",
-    "a5": "x15", "a6": "x16", "a7": "x17", "s2": "x18", "s3": "x19",
-    "s4": "x20", "s5": "x21", "s6": "x22", "s7": "x23", "s8": "x24",
-    "s9": "x25", "s10": "x26", "s11": "x27", "t3": "x28", "t4": "x29",
-    "t5": "x30", "t6": "x31",
-}
-
-
-def canonical_register(name: str, isa: IsaName) -> str:
+def canonical_register(name: str, isa: Isa | IsaName) -> str:
+    """The register ``name`` names; unknown names come back lowercased."""
+    isa_obj = isa if isinstance(isa, Isa) else get_isa(isa)
     name = name.lower()
-    if isa is IsaName.X86_64:
-        return _X86_SUBREG_CANON.get(name, name)
-    if isa is IsaName.ARMV5:
-        return _ARM_ALIAS_CANON.get(name, name)
-    if isa is IsaName.ARMV8:
-        if name in _ARMV8_ALIAS_CANON:
-            return _ARMV8_ALIAS_CANON[name]
-        if name.startswith("w") and name[1:].isdigit():
-            return "x" + name[1:]
-        return name
-    return _RISCV_ABI_CANON.get(name, name)
+    return isa_obj.registers.get(name, name)
 
 
-def _role_table_path(isa: IsaName) -> str:
-    return f"roles_{isa.value}.txt"
-
-
-def load_role_table(isa: IsaName | str) -> dict[str, tuple[int, ...]]:
-    """Load the per-ISA operand role table (which operand positions are written).
+@functools.cache
+def load_role_table(isa: IsaName | str) -> Mapping[str, tuple[tuple[int, ...], bool]]:
+    """Load the per-ISA operand role table: mnemonic -> (written operand
+    positions, pure), where pure means the written operands are not also read.
 
     File format, one entry per line: ``mnemonic writes=<comma separated
-    indices>`` where -1 means the last operand.  Blank lines and ``#`` comments
-    are ignored.
+    indices> [pure]`` where -1 means the last operand.  Blank lines and ``#``
+    comments are ignored.
     """
-    name = _role_table_path(IsaName(isa))
-    table: dict[str, tuple[int, ...]] = {}
+    name = f"roles_{IsaName(isa).value}.txt"
+    table: dict[str, tuple[tuple[int, ...], bool]] = {}
     text = resources.files("xisa.data").joinpath(name).read_text(encoding="utf-8")
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        mnemonic, _, spec_part = line.partition(" ")
-        spec_part = spec_part.strip()
-        if not spec_part.startswith("writes="):
+        mnemonic, *spec = fields
+        if not spec or not spec[0].startswith("writes=") or spec[1:] not in ([], ["pure"]):
             raise ValueError(f"{name}: bad role line {raw!r}")
-        idx_text = spec_part[len("writes="):]
-        indices = tuple(int(i) for i in idx_text.split(",") if i != "")
-        table[mnemonic.lower()] = indices
-    return table
+        indices = tuple(int(i) for i in spec[0][len("writes="):].split(",") if i)
+        table[mnemonic.lower()] = (indices, len(spec) == 2)
+    return MappingProxyType(table)  # cached: shared by every caller
 
 
-_ROLE_CACHE: dict[IsaName, dict[str, tuple[int, ...]]] = {}
-
-
-def _roles_for(isa: IsaName) -> dict[str, tuple[int, ...]]:
-    if isa not in _ROLE_CACHE:
-        _ROLE_CACHE[isa] = load_role_table(isa)
-    return _ROLE_CACHE[isa]
-
-
-def _operand_registers(op: Operand, isa: IsaName) -> list[str]:
+def _operand_registers(op: Operand, isa: Isa) -> list[str]:
     regs: list[str] = []
     if op.kind is OperandKind.REGISTER and op.register:
         regs.append(canonical_register(op.register, isa))
@@ -580,7 +529,8 @@ def static_register_profile(unit: AssemblyUnit) -> dict[str, RegisterProfile]:
     line number.  Calls implicitly read argument registers and write return
     registers for the unit's ISA.
     """
-    roles = _roles_for(unit.isa)
+    isa = get_isa(unit.isa)
+    roles = load_role_table(unit.isa)
     profiles: dict[str, RegisterProfile] = {}
     pending_write: dict[str, bool] = {}
 
@@ -626,21 +576,21 @@ def static_register_profile(unit: AssemblyUnit) -> dict[str, RegisterProfile]:
             continue
 
         if mnemonic in roles:
-            write_indices = {i % n_ops for i in roles[mnemonic] if n_ops}
+            positions, pure_write = roles[mnemonic]
+            write_indices = {i % n_ops for i in positions if n_ops}
         elif n_ops == 0:
-            write_indices = set()
+            write_indices, pure_write = set(), False
         else:
-            write_indices = {0}
+            write_indices, pure_write = {0}, False
             log.debug(
-                "no role entry for %s/%s; assuming first operand written",
+                "no role entry for %s/%s; assuming first operand written and read",
                 unit.isa.value,
                 mnemonic,
             )
-        pure_write = mnemonic.startswith(_PURE_WRITE_PREFIXES)
 
         writes: list[str] = []
         for i, op in enumerate(insn.operands):
-            op_regs = _operand_registers(op, unit.isa)
+            op_regs = _operand_registers(op, isa)
             if i in write_indices and op.kind is OperandKind.REGISTER:
                 writes.extend(op_regs)
                 if not pure_write:

@@ -446,6 +446,9 @@ class RuleBackend(Backend):
         return [Candidate(rule_translate(unit))]
 
 
+_MAX_IN_FLIGHT = 4  # concurrent requests per RemoteBackend
+
+
 class RemoteBackend(Backend):
     """HTTP JSON completions client for any served model.
 
@@ -461,18 +464,15 @@ class RemoteBackend(Backend):
         endpoint: str,
         tokenizer_spec: TokenizerSpec | None = None,
         preamble: str = DEFAULT_PROMPT_PREAMBLE,
-        preamble_version: str = "v1",
         timeout_s: float = 120.0,
         max_retries: int = 3,
-        max_in_flight: int = 4,
     ):
         super().__init__(tokenizer_spec)
         self.endpoint = endpoint.rstrip("/")
         self.preamble = preamble
-        self.preamble_version = preamble_version
         self.timeout_s = timeout_s
         self.max_retries = max_retries
-        self._gate = threading.Semaphore(max_in_flight)
+        self._gate = threading.Semaphore(_MAX_IN_FLIGHT)
 
     def _generate(self, req: TranspileRequest) -> list[Candidate]:
         payload = {
@@ -512,7 +512,6 @@ def make_backend(
     endpoint: str | None = None,
     tokenizer_spec: TokenizerSpec | None = None,
     preamble: str = DEFAULT_PROMPT_PREAMBLE,
-    preamble_version: str = "v1",
 ) -> Backend:
     if name == "identity":
         return IdentityBackend(tokenizer_spec)
@@ -523,10 +522,5 @@ def make_backend(
     if name == "remote":
         if not endpoint:
             raise ValueError("remote backend needs an endpoint")
-        return RemoteBackend(
-            endpoint,
-            tokenizer_spec,
-            preamble=preamble,
-            preamble_version=preamble_version,
-        )
+        return RemoteBackend(endpoint, tokenizer_spec, preamble=preamble)
     raise ValueError(f"unknown backend {name!r}")

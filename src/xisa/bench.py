@@ -137,21 +137,19 @@ def compare_modes(
     return rows
 
 
-def summary_to_record(summary: BenchSummary, keep_samples: bool = True) -> dict:
-    record = {
+def summary_to_record(summary: BenchSummary) -> dict:
+    return {
         "schema": "xisa.bench_summary/v1",
         "mode": summary.mode,
         "n_valid": summary.n_valid,
         "n_failed": summary.n_failed,
         "geomean_time": summary.geomean_time,
         "geomean_rss": summary.geomean_rss,
-    }
-    if keep_samples:
-        record["samples"] = [
+        "samples": [
             {"wall_time": s.wall_time, "max_rss": s.max_rss, "exit_code": s.exit_code}
             for s in summary.samples
-        ]
-    return record
+        ],
+    }
 
 
 def record_to_summary(record: dict) -> BenchSummary:

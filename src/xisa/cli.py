@@ -193,7 +193,6 @@ def _cmd_transpile(args: argparse.Namespace, argv: list[str]) -> int:
     }
     if cfg is not None:
         backend_kwargs["preamble"] = cfg.prompt_preamble
-        backend_kwargs["preamble_version"] = cfg.prompt_version
     backend = make_backend(args.backend, **backend_kwargs)
     from .backends import TranspileRequest
 
@@ -227,7 +226,6 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
         endpoint=args.endpoint,
         tokenizer_spec=spec if args.vocab else None,
         preamble=cfg.prompt_preamble,
-        preamble_version=cfg.prompt_version,
     )
     params = GenerationParams(num_beams=args.beams)
     results, summary = eval_mod.evaluate_suite(
@@ -365,12 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="xisa",
         description="cross-ISA assembly transpilation harness",
     )
-    parser.add_argument(
-        "--seed", dest="global_seed", type=int, default=0, help="global random seed"
-    )
-    parser.add_argument(
-        "--jobs", dest="global_jobs", type=int, default=1, help="parallel workers"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dataset = sub.add_parser("dataset", help="build or inspect pair corpora")
@@ -379,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--src", required=True)
     p_build.add_argument("--target", required=True, choices=[i.value for i in IsaName])
     p_build.add_argument("--sample", type=int, default=None)
-    p_build.add_argument("--seed", type=int, default=None)
+    p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("--config")
     p_build.add_argument("--vocab")
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--jobs", type=int, default=None)
+    p_build.add_argument("--jobs", type=int, default=1)
     p_inspect = dsub.add_parser("inspect")
     p_inspect.add_argument("store")
 
@@ -427,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     e_run.add_argument("--vocab")
     e_run.add_argument("--policy", choices=["default", "raw"], default="default")
     e_run.add_argument("--line-level", action="store_true")
-    e_run.add_argument("--jobs", type=int, default=None)
+    e_run.add_argument("--jobs", type=int, default=1)
     e_run.add_argument("--out", required=True)
 
     p_seg = sub.add_parser("segment", help="token-budgeted function segmentation")
@@ -452,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     b_cmp.add_argument("files", nargs="+")
 
     p_report = sub.add_parser("report", help="render result tables")
-    p_report.add_argument("--format", choices=["table"], default="table")
     p_report.add_argument("results")
     p_report.add_argument("results_b", nargs="?")
 
@@ -480,12 +471,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-
-    # subcommand-level --seed/--jobs fall back to the top-level values
-    if getattr(args, "seed", None) is None:
-        args.seed = args.global_seed
-    if getattr(args, "jobs", None) is None:
-        args.jobs = args.global_jobs
 
     try:
         return _HANDLERS[args.command](args, argv)

@@ -9,9 +9,11 @@ from __future__ import annotations
 import configparser
 import io
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import ConfigError
 
@@ -37,53 +39,61 @@ class Isa:
     name: IsaName
     syntax_family: SyntaxFamily
     comment_leaders: frozenset[str]
-    register_names: tuple[str, ...]
+    # every register name the assembler accepts -> the register it names
+    registers: Mapping[str, str] = field(hash=False, compare=False)
     branch_mnemonics: frozenset[str]
 
     def __post_init__(self) -> None:
-        if not self.register_names:
+        if not self.registers:
             raise ValueError(f"{self.name}: register table is empty")
-        if len(set(self.register_names)) != len(self.register_names):
-            raise ValueError(f"{self.name}: duplicate register names")
         if not self.comment_leaders:
             raise ValueError(f"{self.name}: no comment leaders")
 
     @property
-    def register_set(self) -> frozenset[str]:
-        return frozenset(self.register_names)
+    def register_names(self) -> tuple[str, ...]:
+        return tuple(self.registers)
 
 
-def _x86_registers() -> tuple[str, ...]:
-    names: list[str] = []
-    base64 = ["rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi"]
-    base32 = ["eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"]
-    base16 = ["ax", "cx", "dx", "bx", "sp", "bp", "si", "di"]
-    base8 = ["al", "cl", "dl", "bl", "spl", "bpl", "sil", "dil"]
-    base8h = ["ah", "ch", "dh", "bh"]
-    names += base64 + base32 + base16 + base8 + base8h
+def _x86_registers() -> dict[str, str]:
+    base = ("rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi")
+    regs: dict[str, str] = {}
+    for names in (
+        base,
+        ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"),
+        ("ax", "cx", "dx", "bx", "sp", "bp", "si", "di"),
+        ("al", "cl", "dl", "bl", "spl", "bpl", "sil", "dil"),
+        ("ah", "ch", "dh", "bh"),
+    ):
+        regs.update(zip(names, base))
     for i in range(8, 16):
-        names += [f"r{i}", f"r{i}d", f"r{i}w", f"r{i}b"]
-    names.append("rip")
-    return tuple(names)
+        regs.update(dict.fromkeys((f"r{i}", f"r{i}d", f"r{i}w", f"r{i}b"), f"r{i}"))
+    regs["rip"] = "rip"
+    return regs
 
 
-def _armv5_registers() -> tuple[str, ...]:
-    return tuple(f"r{i}" for i in range(16)) + ("fp", "ip", "sp", "lr", "pc")
+def _armv5_registers() -> dict[str, str]:
+    regs = {f"r{i}": f"r{i}" for i in range(16)}
+    regs.update(fp="r11", ip="r12", sp="r13", lr="r14", pc="r15")
+    return regs
 
 
-def _armv8_registers() -> tuple[str, ...]:
-    names = [f"x{i}" for i in range(31)] + [f"w{i}" for i in range(31)]
-    names += ["sp", "wsp", "xzr", "wzr", "fp", "lr"]
-    return tuple(names)
+def _armv8_registers() -> dict[str, str]:
+    regs = {f"{w}{i}": f"x{i}" for w in "xw" for i in range(31)}
+    regs.update(sp="sp", wsp="wsp", xzr="xzr", wzr="wzr", fp="x29", lr="x30")
+    return regs
 
 
-def _riscv_registers() -> tuple[str, ...]:
-    names = [f"x{i}" for i in range(32)]
-    names += ["zero", "ra", "sp", "gp", "tp", "fp"]
-    names += [f"t{i}" for i in range(7)]
-    names += [f"s{i}" for i in range(12)]
-    names += [f"a{i}" for i in range(8)]
-    return tuple(names)
+def _riscv_registers() -> dict[str, str]:
+    abi = (
+        "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1",
+        *(f"a{i}" for i in range(8)),
+        *(f"s{i}" for i in range(2, 12)),
+        "t3", "t4", "t5", "t6",
+    )
+    regs = {f"x{i}": f"x{i}" for i in range(32)}
+    regs.update((name, f"x{i}") for i, name in enumerate(abi))
+    regs["fp"] = "x8"
+    return regs
 
 
 _ARM_CONDITIONS = (
@@ -96,7 +106,7 @@ _REGISTRY: dict[IsaName, Isa] = {
         name=IsaName.X86_64,
         syntax_family=SyntaxFamily.ATT,
         comment_leaders=frozenset({"#", ";"}),
-        register_names=_x86_registers(),
+        registers=MappingProxyType(_x86_registers()),
         branch_mnemonics=frozenset(
             {"jmp", "call", "ret"}
             | {
@@ -112,7 +122,7 @@ _REGISTRY: dict[IsaName, Isa] = {
         name=IsaName.ARMV5,
         syntax_family=SyntaxFamily.ARM_UAL,
         comment_leaders=frozenset({"@", "//", ";"}),
-        register_names=_armv5_registers(),
+        registers=MappingProxyType(_armv5_registers()),
         branch_mnemonics=frozenset(
             {"b", "bl", "bx", "blx"} | {"b" + cc for cc in _ARM_CONDITIONS}
         ),
@@ -121,7 +131,7 @@ _REGISTRY: dict[IsaName, Isa] = {
         name=IsaName.ARMV8,
         syntax_family=SyntaxFamily.ARM_UAL,
         comment_leaders=frozenset({"//", "@", ";"}),
-        register_names=_armv8_registers(),
+        registers=MappingProxyType(_armv8_registers()),
         branch_mnemonics=frozenset(
             {"b", "bl", "br", "blr", "ret", "cbz", "cbnz", "tbz", "tbnz"}
             | {"b." + cc for cc in _ARM_CONDITIONS}
@@ -131,7 +141,7 @@ _REGISTRY: dict[IsaName, Isa] = {
         name=IsaName.RISCV64,
         syntax_family=SyntaxFamily.RISCV_STD,
         comment_leaders=frozenset({"#", ";"}),
-        register_names=_riscv_registers(),
+        registers=MappingProxyType(_riscv_registers()),
         branch_mnemonics=frozenset(
             {
                 "beq", "bne", "blt", "bge", "bltu", "bgeu",

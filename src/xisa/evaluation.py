@@ -476,19 +476,13 @@ def evaluate_suite(
     """Evaluate every pair; results come back sorted by pair_id."""
     if not pairs:
         raise ValueError("empty suite")
-    results: list[EvalResult]
-    if jobs <= 1:
-        results = [
-            evaluate_pair(p, backend, params, cfg, policy, line_level) for p in pairs
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda p: evaluate_pair(p, backend, params, cfg, policy, line_level),
-                    pairs,
-                )
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        results = list(
+            pool.map(
+                lambda p: evaluate_pair(p, backend, params, cfg, policy, line_level),
+                pairs,
             )
+        )
     results.sort(key=lambda r: r.pair_id)
     return results, summarize(results)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import shutil
 from pathlib import Path
 
@@ -12,6 +13,12 @@ from xisa.dataset import TranspilePair, load_eval_suite
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 CONFIGS = ROOT / "configs"
+
+# pyproject.toml puts src/ on this process's import path; child processes
+# such as ``python -m xisa.armvm`` find the same checkout through PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def have(tool: str) -> bool:

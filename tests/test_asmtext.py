@@ -6,13 +6,14 @@ from xisa.asmtext import (
     LineKind,
     NormalizationPolicy,
     OperandKind,
+    RegisterProfile,
     canonical_register,
     load_role_table,
     normalize,
     parse_assembly,
     static_register_profile,
 )
-from xisa.core import IsaName
+from xisa.core import IsaName, get_isa
 
 from conftest import FIXTURES
 
@@ -235,15 +236,102 @@ def test_canonical_register_names():
     assert canonical_register("a0", IsaName.RISCV64) == "x10"
 
 
+# The alias tables asmtext kept beside the ISA registry before the registry
+# became a name -> register map; the oracle for canonical_register.
+_X86_FAMILIES = list(
+    zip(
+        ["rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi"],
+        ["eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"],
+        ["ax", "cx", "dx", "bx", "sp", "bp", "si", "di"],
+        ["al", "cl", "dl", "bl", "spl", "bpl", "sil", "dil"],
+    )
+)
+_X86_SUBREG_CANON = {alias: fam[0] for fam in _X86_FAMILIES for alias in fam}
+_X86_SUBREG_CANON.update(zip(["ah", "ch", "dh", "bh"], ["rax", "rcx", "rdx", "rbx"]))
+_X86_SUBREG_CANON.update(
+    {f"r{i}{suffix}": f"r{i}" for i in range(8, 16) for suffix in ("", "d", "w", "b")}
+)
+_ARM_ALIAS_CANON = {"fp": "r11", "ip": "r12", "sp": "r13", "lr": "r14", "pc": "r15"}
+_ARMV8_ALIAS_CANON = {"fp": "x29", "lr": "x30"}
+_RISCV_ABI_CANON = {
+    "zero": "x0", "ra": "x1", "sp": "x2", "gp": "x3", "tp": "x4",
+    "t0": "x5", "t1": "x6", "t2": "x7", "s0": "x8", "fp": "x8", "s1": "x9",
+    "a0": "x10", "a1": "x11", "a2": "x12", "a3": "x13", "a4": "x14",
+    "a5": "x15", "a6": "x16", "a7": "x17", "s2": "x18", "s3": "x19",
+    "s4": "x20", "s5": "x21", "s6": "x22", "s7": "x23", "s8": "x24",
+    "s9": "x25", "s10": "x26", "s11": "x27", "t3": "x28", "t4": "x29",
+    "t5": "x30", "t6": "x31",
+}
+
+
+def oracle_canonical(name: str, isa: IsaName) -> str:
+    name = name.lower()
+    if isa is IsaName.X86_64:
+        return _X86_SUBREG_CANON.get(name, name)
+    if isa is IsaName.ARMV5:
+        return _ARM_ALIAS_CANON.get(name, name)
+    if isa is IsaName.ARMV8:
+        if name in _ARMV8_ALIAS_CANON:
+            return _ARMV8_ALIAS_CANON[name]
+        if name.startswith("w") and name[1:].isdigit():
+            return "x" + name[1:]
+        return name
+    return _RISCV_ABI_CANON.get(name, name)
+
+
+@pytest.mark.parametrize("isa", list(IsaName))
+def test_canonical_register_matches_alias_oracle(isa):
+    for name in get_isa(isa).registers:
+        assert canonical_register(name, isa) == oracle_canonical(name, isa)
+        assert canonical_register(name.upper(), isa) == oracle_canonical(name, isa)
+    assert canonical_register("Bogus", isa) == "bogus"
+
+
+@pytest.mark.parametrize("isa", [IsaName.ARMV5, IsaName.ARMV8])
+def test_register_list_ranges_match_alias_oracle(isa):
+    names = list(get_isa(isa).registers)
+    for lo in names:
+        for hi in names:
+            unit = parse_assembly(f"pop {{{lo}-{hi}}}", isa)
+            lo_c, hi_c = oracle_canonical(lo, isa), oracle_canonical(hi, isa)
+            expected = set()
+            if lo_c[1:].isdigit() and hi_c[1:].isdigit():
+                expected = {f"{lo_c[0]}{i}" for i in range(int(lo_c[1:]), int(hi_c[1:]) + 1)}
+            assert set(static_register_profile(unit)) == expected, (lo, hi)
+
+
 def test_role_tables_load_for_all_isas():
     for isa in IsaName:
         table = load_role_table(isa)
         assert table
     arm = load_role_table(IsaName.ARMV5)
-    assert arm["mov"] == (0,)
-    assert arm["cmp"] == ()
+    assert arm["mov"] == ((0,), True)
+    assert arm["cmp"] == ((), False)
+    assert arm["add"] == ((0,), False)
     x86 = load_role_table(IsaName.X86_64)
-    assert x86["movl"] == (-1,)
+    assert x86["movl"] == ((-1,), True)
+
+
+# The name-prefix heuristic that decided purity before the role tables held it.
+_PURE_WRITE_PREFIXES = ("mov", "ldr", "lw", "ld", "lb", "lh", "li", "lui", "la",
+                        "mv", "mvn", "lea", "pop", "set")
+
+
+@pytest.mark.parametrize("isa", list(IsaName))
+def test_role_table_purity_matches_prefix_oracle(isa):
+    for mnemonic, (_, pure) in load_role_table(isa).items():
+        assert pure == mnemonic.startswith(_PURE_WRITE_PREFIXES), mnemonic
+
+
+@pytest.mark.parametrize("isa", list(IsaName))
+def test_profile_unlisted_mnemonic_writes_and_reads_first_operand(isa):
+    assert "movhi" not in load_role_table(isa)  # pure-looking, but unlisted
+    sigil = "%" if isa is IsaName.X86_64 else ""
+    first, second = list(get_isa(isa).registers)[:2]
+    line = f"movhi {sigil}{first}, {sigil}{second}\n"
+    profile = static_register_profile(parse_assembly(line * 2, isa))
+    assert profile[first] == RegisterProfile(2, 2, 1, [])
+    assert profile[second] == RegisterProfile(0, 2, None, [])
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,11 @@ def test_registry_is_pure():
     assert a is b
 
 
+def test_isa_is_hashable():
+    assert len({*isa_registry()}) == 4
+    assert get_isa("armv5").registers["fp"] == "r11"
+
+
 def test_register_tables_duplicate_free():
     for isa in isa_registry():
         assert len(set(isa.register_names)) == len(isa.register_names)
