@@ -33,8 +33,6 @@ from .errors import (
 )
 from .tokenizer import TokenizerSpec, token_count
 
-_VALID_TARGETS = (IsaName.ARMV5, IsaName.ARMV8, IsaName.RISCV64)
-
 
 @dataclass(frozen=True)
 class TranspileRequest:
@@ -46,8 +44,8 @@ class TranspileRequest:
     def __post_init__(self) -> None:
         if self.source_isa is not IsaName.X86_64:
             raise ValueError("only x86_64 sources are supported")
-        if self.target_isa not in _VALID_TARGETS:
-            raise ValueError(f"invalid target ISA {self.target_isa}")
+        # x86_64 is a valid target too: self-translation needs only gcc
+        object.__setattr__(self, "target_isa", IsaName(self.target_isa))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from . import dataset as dataset_mod
 from . import evaluation as eval_mod
 from . import tokenizer as tok
 from .asmtext import DEFAULT_POLICY, NormalizationPolicy, parse_assembly
-from .backends import make_backend
+from .backends import TranspileRequest, make_backend
 from .core import GenerationParams, IsaName, ToolchainConfig, load_config
 from .dataset import read_store
 from .errors import ConfigError, ToolchainError, UnsupportedInstruction, XisaError
@@ -76,6 +76,18 @@ def _write_ndjson(path: str | Path, records: list[dict]) -> None:
     atomic_write_text(
         path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     )
+
+
+def _write_run_sidecar(
+    argv: list[str],
+    started: str,
+    out: str,
+    cfg: ToolchainConfig | None = None,
+    tool_versions: dict[str, str] | None = None,
+) -> None:
+    """The run record of a command that writes one file, as ``<out>.run.json``."""
+    record = make_run_record(argv, started, [out], cfg, tool_versions)
+    atomic_write_text(out + ".run.json", json.dumps(record, indent=2, sort_keys=True))
 
 
 def _load_cfg(args: argparse.Namespace) -> ToolchainConfig:
@@ -133,12 +145,7 @@ def _cmd_dataset(args: argparse.Namespace, argv: list[str]) -> int:
         tokenizer_spec=spec,
         jobs=args.jobs,
     )
-    record = make_run_record(
-        argv, started, [args.out], cfg, manifest.toolchain_fingerprints
-    )
-    atomic_write_text(
-        str(args.out) + ".run.json", json.dumps(record, indent=2, sort_keys=True)
-    )
+    _write_run_sidecar(argv, started, args.out, cfg, manifest.toolchain_fingerprints)
     print(f"built {manifest.records} pairs -> {args.out}")
     return 0 if manifest.records > 0 else 1
 
@@ -159,10 +166,7 @@ def _cmd_tokenizer(args: argparse.Namespace, argv: list[str]) -> int:
                 )
         spec = tok.build_vocab(units, top_k=args.top_k)
         save_vocab(spec, args.out)
-        record = make_run_record(argv, started, [args.out])
-        atomic_write_text(
-            str(args.out) + ".run.json", json.dumps(record, indent=2, sort_keys=True)
-        )
+        _write_run_sidecar(argv, started, args.out)
         print(f"vocabulary {spec.version}: {len(spec.extended_entries)} entries -> {args.out}")
         return 0
 
@@ -194,8 +198,6 @@ def _cmd_transpile(args: argparse.Namespace, argv: list[str]) -> int:
     if cfg is not None:
         backend_kwargs["preamble"] = cfg.prompt_preamble
     backend = make_backend(args.backend, **backend_kwargs)
-    from .backends import TranspileRequest
-
     params = GenerationParams(num_beams=args.beams)
     try:
         response = backend.transpile(
@@ -207,10 +209,7 @@ def _cmd_transpile(args: argparse.Namespace, argv: list[str]) -> int:
         print(f"transpile failed: {exc}", file=sys.stderr)
         return 1
     atomic_write_text(args.out, response.candidates[0].text)
-    record = make_run_record(argv, started, [args.out], cfg)
-    atomic_write_text(
-        str(args.out) + ".run.json", json.dumps(record, indent=2, sort_keys=True)
-    )
+    _write_run_sidecar(argv, started, args.out, cfg)
     print(f"{backend.backend_id}: {len(response.candidates)} candidate(s) -> {args.out}")
     return 0
 

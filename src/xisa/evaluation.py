@@ -9,6 +9,7 @@ into a three-class error taxonomy by a versioned rule cascade.
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import signal as signal_module
 import subprocess
@@ -329,6 +330,7 @@ class ClassifierRules:
     regalloc_patterns: tuple[str, ...]
 
 
+@functools.cache
 def load_classifier_rules() -> ClassifierRules:
     text = (
         resources.files("xisa.data").joinpath("error_patterns.cfg").read_text("utf-8")
@@ -344,16 +346,6 @@ def load_classifier_rules() -> ClassifierRules:
         addressing_patterns=split_lines(cp.get("addressing", "log_patterns")),
         regalloc_patterns=split_lines(cp.get("register_allocation", "log_patterns")),
     )
-
-
-_RULES: ClassifierRules | None = None
-
-
-def classifier_rules() -> ClassifierRules:
-    global _RULES
-    if _RULES is None:
-        _RULES = load_classifier_rules()
-    return _RULES
 
 
 def classify_error(
@@ -372,7 +364,7 @@ def classify_error(
     """
     if outcome.is_pass:
         raise ValueError("classify_error is defined for non-Pass outcomes only")
-    rules = rules or classifier_rules()
+    rules = rules or load_classifier_rules()
     lowered = logs.lower()
 
     if outcome.status is OutcomeStatus.RUNTIME_CRASH:
@@ -430,21 +422,15 @@ def evaluate_pair(
         candidates[0], pair.target.normalized_text, pair.target_isa, policy, line_level
     )
 
-    first_outcome: TestOutcome | None = None
-    first_logs = ""
+    # beam 0 is reported unless a later beam passes
+    outcome, logs = run_functional(candidates[0], pair, cfg)
     chosen_index = 0
-    outcome: TestOutcome | None = None
-    logs = ""
-    for index, text in enumerate(candidates):
-        this_outcome, this_logs = run_functional(text, pair, cfg)
-        if index == 0:
-            first_outcome, first_logs = this_outcome, this_logs
-        if this_outcome.is_pass:
-            outcome, logs, chosen_index = this_outcome, this_logs, index
-            break
-    if outcome is None:
-        assert first_outcome is not None
-        outcome, logs, chosen_index = first_outcome, first_logs, 0
+    if not outcome.is_pass:
+        for index, text in enumerate(candidates[1:], start=1):
+            later, later_logs = run_functional(text, pair, cfg)
+            if later.is_pass:
+                outcome, logs, chosen_index = later, later_logs, index
+                break
 
     error_class = None
     if not outcome.is_pass:

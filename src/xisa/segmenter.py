@@ -9,6 +9,7 @@ Segment sequences from the source and target sides align positionally by
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .asmtext import AssemblyUnit, Line, LineKind
@@ -44,7 +45,7 @@ def segment_text(lines: tuple[Line, ...]) -> str:
     return "\n".join(line.text_normalized for line in lines) + "\n"
 
 
-def _leading_label(lines: tuple[Line, ...]) -> str:
+def _leading_label(lines: Sequence[Line]) -> str:
     if lines and lines[0].kind is LineKind.LABEL:
         return lines[0].text_normalized.rstrip(":")
     return ENTRY_MARKER
@@ -53,44 +54,39 @@ def _leading_label(lines: tuple[Line, ...]) -> str:
 def segment_unit(
     unit: AssemblyUnit, spec: TokenizerSpec, budget: int
 ) -> list[Segment]:
-    """Per function, pack label-delimited blocks greedily under the budget."""
+    """Per function, pack label-delimited blocks greedily under the budget.
+
+    Each line is costed once, with its newline.  Entries hold no whitespace,
+    so no token spans a line end, and the costs of a run of lines sum to the
+    token count of its ``segment_text``.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     segments: list[Segment] = []
     for span in unit.functions:
-        fn_lines = unit.lines[span.start_line : span.end_line]
-
-        blocks: list[list[Line]] = []
-        for line in fn_lines:
+        blocks: list[list[tuple[Line, int]]] = []
+        for line in unit.lines[span.start_line : span.end_line]:
             if line.kind is LineKind.LABEL or not blocks:
                 blocks.append([])
-            blocks[-1].append(line)
+            blocks[-1].append((line, token_count(line.text_normalized + "\n", spec)))
 
-        packed: list[tuple[tuple[Line, ...], bool]] = []
-        current: list[Line] = []
-        for block in blocks:
-            block_tuple = tuple(block)
-            merged = tuple(current) + block_tuple
-            if current and token_count(segment_text(merged), spec) > budget:
-                packed.append((tuple(current), False))
-                current = []
-            if not current and token_count(segment_text(block_tuple), spec) > budget:
-                # oversized block: fall back to instruction granularity
-                chunk: list[Line] = []
-                for line in block:
-                    trial = tuple(chunk) + (line,)
-                    if chunk and token_count(segment_text(trial), spec) > budget:
-                        packed.append((tuple(chunk), True))
-                        chunk = []
-                    chunk.append(line)
-                if chunk:
-                    packed.append((tuple(chunk), True))
-                continue
-            current.extend(block)
-        if current:
-            packed.append((tuple(current), False))
+        # runs of [lines, tokens, owner]: owner is None for a run of whole
+        # blocks, or the index of the oversized block whose lines it holds
+        packed: list[list] = []
+        for b, block in enumerate(blocks):
+            tokens = sum(cost for _, cost in block)
+            if tokens <= budget:
+                pieces = [([line for line, _ in block], tokens, None)]
+            else:  # oversized block: fall back to instruction granularity
+                pieces = [([line], cost, b) for line, cost in block]
+            for lines, cost, owner in pieces:
+                if packed and packed[-1][2] == owner and packed[-1][1] + cost <= budget:
+                    packed[-1][0] += lines
+                    packed[-1][1] += cost
+                else:
+                    packed.append([lines, cost, owner])
 
-        for index, (seg_lines, violation) in enumerate(packed):
+        for index, (seg_lines, tokens, owner) in enumerate(packed):
             trailing = END_MARKER
             if index + 1 < len(packed):
                 trailing = _leading_label(packed[index + 1][0])
@@ -98,10 +94,10 @@ def segment_unit(
                 Segment(
                     function_name=span.name,
                     index=index,
-                    lines=seg_lines,
-                    token_count=token_count(segment_text(seg_lines), spec),
+                    lines=tuple(seg_lines),
+                    token_count=tokens,
                     boundary_labels=(_leading_label(seg_lines), trailing),
-                    budget_violation=violation,
+                    budget_violation=owner is not None,
                 )
             )
     return segments

@@ -1,11 +1,11 @@
-"""Assembly-aware tokenizer: extended vocabulary over a byte/char fallback.
+"""Assembly-aware tokenizer: extended vocabulary over a one-character fallback.
 
 The extended vocabulary holds frequent mnemonics and register names so that
 instruction atoms like ``ldr`` or ``r1`` stay single tokens.  Matching is
 greedy longest-match, constrained to token boundaries: an identifier-edged
 entry never matches inside a longer identifier run (``ldr`` does not split
-``ldrb``).  Tokenization is lossless: the concatenation of the emitted tokens
-always equals the input text.
+``ldrb``).  Any other character is a token of its own.  Tokenization is
+lossless: the concatenation of the emitted tokens always equals the input text.
 
 This models tokenization effects only; it does not integrate with any neural
 model's vocabulary.
@@ -13,22 +13,15 @@ model's vocabulary.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from enum import Enum
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .asmtext import AssemblyUnit, OperandKind
 
-_IDENT_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_."
-)
-
-
-class Fallback(str, Enum):
-    BYTE_LEVEL = "byte"
-    CHAR_CLASS = "charclass"
+_IDENT_CLASS = "[A-Za-z0-9_.]"
 
 
 def _sorted_entries(entries: Iterable[str]) -> tuple[str, ...]:
@@ -41,8 +34,8 @@ class TokenizerSpec:
 
     isa_scope: frozenset[str] = frozenset()
     extended_entries: tuple[str, ...] = ()
-    base_fallback: Fallback = Fallback.BYTE_LEVEL
     version: str = "empty"
+    pattern: re.Pattern[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for e in self.extended_entries:
@@ -54,18 +47,34 @@ class TokenizerSpec:
             raise ValueError("duplicate vocabulary entries")
         if self.extended_entries != _sorted_entries(self.extended_entries):
             raise ValueError("entries not in greedy longest-match order")
+        alternatives = [_entry_pattern(e) for e in self.extended_entries]
+        pattern = re.compile("|".join([*alternatives, "."]), re.DOTALL)
+        object.__setattr__(self, "pattern", pattern)
+
+
+def _entry_pattern(entry: str) -> str:
+    """One alternative of the spec's pattern, with its boundary checks.
+
+    The lookbehind follows the first literal, so that sre can still skip the
+    alternative by its first character; it then looks at that character and
+    the one before it.
+    """
+    head, tail = re.escape(entry[0]), re.escape(entry[1:])
+    if re.fullmatch(_IDENT_CLASS, entry[0]):
+        head += f"(?<!{_IDENT_CLASS}.)"
+    if re.fullmatch(_IDENT_CLASS, entry[-1]):
+        tail += f"(?!{_IDENT_CLASS})"
+    return head + tail
 
 
 @dataclass(frozen=True)
 class TokenStream:
     tokens: tuple[str, ...]
-    source_len_chars: int
 
 
 def make_spec(
     entries: Iterable[str],
     isa_scope: Iterable[str] = (),
-    fallback: Fallback = Fallback.BYTE_LEVEL,
     version: str | None = None,
 ) -> TokenizerSpec:
     """Build a spec from entries, sorting them into match order."""
@@ -76,7 +85,6 @@ def make_spec(
     return TokenizerSpec(
         isa_scope=frozenset(isa_scope),
         extended_entries=ordered,
-        base_fallback=fallback,
         version=version,
     )
 
@@ -111,66 +119,9 @@ def build_vocab(corpus: Iterable[AssemblyUnit], top_k: int) -> TokenizerSpec:
     return make_spec(picked | registers, isa_scope=isa_scope)
 
 
-class _Matcher:
-    """Greedy longest-match helper; entries bucketed by first character."""
-
-    def __init__(self, spec: TokenizerSpec):
-        self.by_first: dict[str, list[str]] = {}
-        for entry in spec.extended_entries:  # already longest-first
-            self.by_first.setdefault(entry[0], []).append(entry)
-
-    def match(self, text: str, pos: int) -> str | None:
-        bucket = self.by_first.get(text[pos])
-        if not bucket:
-            return None
-        for entry in bucket:
-            end = pos + len(entry)
-            if not text.startswith(entry, pos):
-                continue
-            if entry[0] in _IDENT_CHARS and pos > 0 and text[pos - 1] in _IDENT_CHARS:
-                continue
-            if entry[-1] in _IDENT_CHARS and end < len(text) and text[end] in _IDENT_CHARS:
-                continue
-            return entry
-        return None
-
-
-def _iter_tokens(text: str, spec: TokenizerSpec, matcher: _Matcher) -> Iterator[str]:
-    pos = 0
-    n = len(text)
-    while pos < n:
-        hit = matcher.match(text, pos)
-        if hit is not None:
-            yield hit
-            pos += len(hit)
-            continue
-        if spec.base_fallback is Fallback.BYTE_LEVEL:
-            yield text[pos]
-            pos += 1
-            continue
-        # CHAR_CLASS: one token per identifier run / whitespace run / other char
-        ch = text[pos]
-        if ch in _IDENT_CHARS:
-            end = pos
-            while end < n and text[end] in _IDENT_CHARS:
-                end += 1
-        elif ch.isspace():
-            end = pos
-            while end < n and text[end].isspace():
-                end += 1
-        else:
-            end = pos + 1
-        yield text[pos:end]
-        pos = end
-
-
 def tokenize(text: str, spec: TokenizerSpec) -> TokenStream:
     """Tokenize text under the spec; pure and lossless."""
-    matcher = _Matcher(spec)
-    return TokenStream(
-        tokens=tuple(_iter_tokens(text, spec, matcher)),
-        source_len_chars=len(text),
-    )
+    return TokenStream(tokens=tuple(spec.pattern.findall(text)))
 
 
 def token_count(text: str, spec: TokenizerSpec) -> int:
@@ -204,7 +155,7 @@ def save_vocab(spec: TokenizerSpec, path: str | Path) -> None:
         f"{_HEADER_PREFIX} v1",
         f"version = {spec.version}",
         f"isa_scope = {','.join(sorted(spec.isa_scope))}",
-        f"fallback = {spec.base_fallback.value}",
+        "fallback = byte",
         "---",
     ]
     lines.extend(spec.extended_entries)
@@ -226,12 +177,13 @@ def load_vocab(path: str | Path) -> TokenizerSpec:
         meta[key.strip()] = value.strip()
     if body_start is None:
         raise ValueError(f"{path}: missing --- separator")
+    if meta.get("fallback", "byte") != "byte":
+        raise ValueError(f"{path}: unsupported fallback {meta['fallback']!r}")
     entries = [ln for ln in lines[body_start:] if ln]
     scope = frozenset(s for s in meta.get("isa_scope", "").split(",") if s)
     return TokenizerSpec(
         isa_scope=scope,
         extended_entries=_sorted_entries(entries),
-        base_fallback=Fallback(meta.get("fallback", "byte")),
         version=meta.get("version", "unknown"),
     )
 

@@ -67,6 +67,14 @@ def mini_pairs(lite_cfg) -> list[TranspilePair]:
 
 
 @pytest.fixture(scope="session")
+def mini_pairs_x86(lite_cfg) -> list[TranspilePair]:
+    """mini_suite as x86_64 self-translation pairs, which need only gcc."""
+    if not have("gcc"):
+        pytest.skip("needs gcc")
+    return load_eval_suite(FIXTURES / "mini_suite", IsaName.X86_64, lite_cfg)
+
+
+@pytest.fixture(scope="session")
 def rule_pairs(lite_cfg) -> list[TranspilePair]:
     if not HAVE_LITE_TOOLCHAIN:
         pytest.skip("needs gcc + clang + ld.lld")

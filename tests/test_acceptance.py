@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CONFIGS, FIXTURES, HAVE_CROSS_GNU, needs_lite
+from conftest import CONFIGS, FIXTURES, HAVE_CROSS_GNU, needs_gcc, needs_lite
 from xisa.asmtext import parse_assembly
 from xisa.backends import ReplayBackend, RuleBackend
 from xisa.bench import bench_run, compare_modes, geomean
@@ -334,15 +334,33 @@ def test_criterion_10_eval_runs_byte_identical(tmp_path):
         assert rc == 0
         outputs.append(out)
 
-    def comparable_bytes(path: Path) -> bytes:
-        kept = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            record = json.loads(line)
-            if record.get("schema") == "xisa.run/v1":
-                continue  # run records carry timestamps by design
-            record.pop("latency_ms", None)
-            kept.append(json.dumps(record, sort_keys=True))
-        return "\n".join(kept).encode()
-
     assert comparable_bytes(outputs[0]) == comparable_bytes(outputs[1])
     print(PASS.format(10, "two eval runs produce byte-identical result records (timestamps/latency excluded)"))
+
+
+def comparable_bytes(path: Path) -> bytes:
+    kept = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record.get("schema") == "xisa.run/v1":
+            continue  # run records carry timestamps by design
+        record.pop("latency_ms", None)
+        kept.append(json.dumps(record, sort_keys=True))
+    return "\n".join(kept).encode()
+
+
+@needs_gcc
+def test_criterion_10_gcc_only_jobs_invariant(tmp_path):
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.ndjson"
+        rc = cli_main(
+            ["eval", "run", "--suite", str(FIXTURES / "mini_suite"), "--backend", "replay",
+             "--target", "x86_64", "--config", str(CONFIGS / "clang-lite.cfg"),
+             "--jobs", jobs, "--out", str(out)]
+        )
+        assert rc == 0
+        outputs.append(out)
+
+    assert comparable_bytes(outputs[0]) == comparable_bytes(outputs[1])
+    print(PASS.format(10, "gcc-only eval records identical over --jobs 1 and 2 (timestamps/latency excluded)"))

@@ -40,11 +40,13 @@ def req(source: str, beams: int = 1, target: IsaName = IsaName.ARMV5, **kw):
 
 def test_request_validation():
     with pytest.raises(ValueError):
-        TranspileRequest(source_text="x", target_isa=IsaName.X86_64)
+        TranspileRequest(source_text="x", target_isa="mips")
     with pytest.raises(ValueError):
         TranspileRequest(
             source_text="x", target_isa=IsaName.ARMV5, source_isa=IsaName.ARMV5
         )
+    # self-translation: x86_64 is a target like any other ISA
+    assert TranspileRequest(source_text="x", target_isa="x86_64").target_isa is IsaName.X86_64
 
 
 def test_identity_backend_returns_source():
@@ -130,6 +132,8 @@ def test_rule_backend_refuses_non_arm_target():
     backend = RuleBackend()
     with pytest.raises(BackendRefused):
         backend.transpile(req("movl $1, %eax", target=IsaName.RISCV64))
+    with pytest.raises(BackendRefused):
+        backend.transpile(req("movl $1, %eax", target=IsaName.X86_64))
 
 
 @needs_lite

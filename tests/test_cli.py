@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from conftest import CONFIGS, FIXTURES, needs_lite
+from conftest import CONFIGS, FIXTURES, needs_gcc, needs_lite
 from xisa.cli import main
 from xisa.evaluation import read_results
 
@@ -105,6 +105,19 @@ def test_eval_run_replay_and_report(tmp_path, capsys):
     assert "Exact Match" in table
     assert "Test Accuracy" in table
     assert "100.00%" in table
+
+
+@needs_gcc
+def test_eval_run_replay_x86_64_gcc_only(tmp_path):
+    out = tmp_path / "results.ndjson"
+    rc = main(
+        ["eval", "run", "--suite", str(FIXTURES / "mini_suite"), "--backend", "replay",
+         "--target", "x86_64", "--config", LITE, "--out", str(out)]
+    )
+    assert rc == 0
+    results, summary = read_results(out)
+    assert summary is not None and summary.test_accuracy == 1.0
+    assert len(results) == 12
 
 
 @needs_lite

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, needs_lite
+from conftest import FIXTURES, needs_gcc, needs_lite
 from xisa.asmtext import parse_assembly
-from xisa.backends import IdentityBackend, ReplayBackend
+from xisa.backends import Backend, Candidate, IdentityBackend, ReplayBackend
 from xisa.core import GenerationParams, IsaName, parse_config
 from xisa.dataset import AsmSide, TranspilePair, compile_pair
 from xisa.errors import MismatchedSuites, ToolchainError
@@ -21,10 +21,11 @@ from xisa.evaluation import (
     OutcomeStatus,
     TestOutcome,
     classify_error,
-    classifier_rules,
     confusion_matrix,
+    evaluate_pair,
     evaluate_suite,
     levenshtein,
+    load_classifier_rules,
     read_results,
     record_to_result,
     result_to_record,
@@ -366,7 +367,8 @@ def test_classifier_total_and_deterministic():
         assert first is classify_error(outcome, "no patterns here", unit)
     with pytest.raises(ValueError):
         classify_error(TestOutcome.passed(), "", unit)
-    assert classifier_rules().version == "rules-v1"
+    assert load_classifier_rules().version == "rules-v1"
+    assert load_classifier_rules() is load_classifier_rules()  # read once
 
 
 # --- functional execution ---------------------------------------------------------
@@ -562,6 +564,44 @@ def test_first_passing_beam_selected(mini_pairs, lite_cfg):
     # syntactic metrics stay pinned to beam 0
     assert result.edit_distance > 0
     assert result.exact_match is False
+
+
+class FixedBeams(Backend):
+    backend_id = "fixed_beams"
+
+    def __init__(self, beams: list[str]):
+        super().__init__()
+        self.beams = beams
+
+    def _generate(self, request):
+        return [Candidate(text) for text in self.beams]
+
+
+X86_SUM_UPTO_WRONG = "\t.globl sum_upto\nsum_upto:\n\tmovl $1, %eax\n\tret\n"
+X86_SUM_UPTO_UNASSEMBLABLE = "\t.globl sum_upto\nsum_upto:\n\tfrobl %eax\n\tret\n"
+
+
+@needs_gcc
+def test_first_passing_beam_selected_gcc_only(mini_pairs_x86, lite_cfg):
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    backend = FixedBeams([X86_SUM_UPTO_WRONG, pair.target.normalized_text])
+    result = evaluate_pair(pair, backend, GenerationParams(num_beams=2), lite_cfg)
+    assert result.outcome.is_pass
+    assert result.candidate_index_used == 1
+    # syntactic metrics stay pinned to beam 0
+    assert result.edit_distance > 0
+    assert result.exact_match is False
+
+
+@needs_gcc
+def test_all_beams_failing_reports_beam_0_gcc_only(mini_pairs_x86, lite_cfg):
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    backend = FixedBeams([X86_SUM_UPTO_WRONG, X86_SUM_UPTO_UNASSEMBLABLE])
+    result = evaluate_pair(pair, backend, GenerationParams(num_beams=2), lite_cfg)
+    assert result.candidate_index_used == 0
+    # beam 1 would have been an assemble error
+    assert result.outcome.status is OutcomeStatus.TEST_FAILED
+    assert result.error_class is not None
 
 
 @needs_lite

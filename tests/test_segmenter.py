@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from xisa.asmtext import parse_assembly
+import pytest
+
+from xisa.asmtext import LineKind, parse_assembly
 from xisa.core import IsaName
 from xisa.segmenter import (
     END_MARKER,
@@ -8,7 +10,7 @@ from xisa.segmenter import (
     segment_text,
     segment_unit,
 )
-from xisa.tokenizer import BYTE_BASELINE
+from xisa.tokenizer import BYTE_BASELINE, build_vocab, token_count
 
 
 def make_unit(body: str, name: str = "f"):
@@ -128,3 +130,51 @@ def test_segment_text_roundtrip():
     unit = make_unit("\tmov r0, #1\n\tbx lr\n")
     seg = segment_unit(unit, BYTE_BASELINE, 1024)[0]
     assert segment_text(seg.lines) == "f:\nmov r0, #1\nbx lr\n"
+
+
+def oracle_packing(unit, spec, budget):
+    """Whole-text packer: re-tokenizes every run it tries.
+
+    Returns (function, lines, violation) per segment, in order.
+    """
+    def cost(lines):
+        return token_count(segment_text(tuple(lines)), spec)
+
+    out = []
+    for span in unit.functions:
+        blocks = []
+        for line in unit.lines[span.start_line : span.end_line]:
+            if line.kind is LineKind.LABEL or not blocks:
+                blocks.append([])
+            blocks[-1].append(line)
+        current = []
+        for block in blocks:
+            if current and cost(current + block) > budget:
+                out.append((span.name, tuple(current), False))
+                current = []
+            if not current and cost(block) > budget:
+                chunk = []
+                for line in block:
+                    if chunk and cost(chunk + [line]) > budget:
+                        out.append((span.name, tuple(chunk), True))
+                        chunk = []
+                    chunk.append(line)
+                if chunk:
+                    out.append((span.name, tuple(chunk), True))
+                continue
+            current.extend(block)
+        if current:
+            out.append((span.name, tuple(current), False))
+    return out
+
+
+@pytest.mark.parametrize("budget", [64, 256, 1024])
+@pytest.mark.parametrize("vocab", ["byte", "top64"])
+def test_per_line_costs_match_whole_text_packer(arm_corpus_units, vocab, budget):
+    spec = BYTE_BASELINE if vocab == "byte" else build_vocab(arm_corpus_units, top_k=64)
+    for unit in arm_corpus_units:
+        segments = segment_unit(unit, spec, budget)
+        got = [(s.function_name, s.lines, s.budget_violation) for s in segments]
+        assert got == oracle_packing(unit, spec, budget)
+        for seg in segments:
+            assert seg.token_count == token_count(segment_text(seg.lines), spec)

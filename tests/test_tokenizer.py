@@ -10,7 +10,6 @@ from xisa.asmtext import parse_assembly
 from xisa.core import IsaName
 from xisa.tokenizer import (
     BYTE_BASELINE,
-    Fallback,
     TokenizerSpec,
     build_vocab,
     load_vocab,
@@ -152,19 +151,26 @@ def test_spec_invariants_enforced():
         TokenizerSpec(extended_entries=("a", "ab"))  # wrong order
 
 
-def test_charclass_fallback():
-    spec = TokenizerSpec(base_fallback=Fallback.CHAR_CLASS, version="cc")
-    stream = tokenize("ldr r1, r2", spec)
-    assert list(stream.tokens) == ["ldr", " ", "r1", ",", " ", "r2"]
-    assert "".join(stream.tokens) == "ldr r1, r2"
-
-
 def test_vocab_save_load_roundtrip(tmp_path, arm_corpus_units):
     spec = build_vocab(arm_corpus_units, top_k=32)
     path = tmp_path / "vocab.txt"
     save_vocab(spec, path)
     again = load_vocab(path)
     assert again == spec
+    assert tokenize("ldrb r3, [r2]", again) == tokenize("ldrb r3, [r2]", spec)
+
+
+def test_vocab_header_fallback_is_fixed(tmp_path):
+    path = tmp_path / "vocab.txt"
+    save_vocab(TABLE1_SPEC, path)
+    header = path.read_text(encoding="utf-8").split("---")[0]
+    assert "fallback = byte\n" in header
+    path.write_text(
+        path.read_text(encoding="utf-8").replace("fallback = byte", "fallback = charclass"),
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="fallback"):
+        load_vocab(path)
 
 
 ident_entries = st.lists(
@@ -188,17 +194,26 @@ def test_losslessness_property(text, entries):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(
-    text=asm_like_text,
-    entries=ident_entries,
-    extra=ident_entries,
-    fallback=st.sampled_from([Fallback.BYTE_LEVEL, Fallback.CHAR_CLASS]),
-)
-def test_monotonicity_property(text, entries, extra, fallback):
+@given(text=asm_like_text, entries=ident_entries, extra=ident_entries)
+def test_monotonicity_property(text, entries, extra):
     # adding identifier-shaped entries never increases the token count
-    small = make_spec(entries, fallback=fallback)
-    large = make_spec(list(entries) + list(extra), fallback=fallback)
+    small = make_spec(entries)
+    large = make_spec(list(entries) + list(extra))
     assert len(tokenize(text, large).tokens) <= len(tokenize(text, small).tokens)
+
+
+# entries that mix identifier and punctuation edges, so that every
+# combination of boundary checks shows up
+mixed_entries = st.lists(
+    st.text(alphabet="abr01._,#[]%", min_size=1, max_size=5), max_size=12
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=asm_like_text, entries=mixed_entries)
+def test_matches_brute_force_property(text, entries):
+    spec = make_spec(entries)
+    assert list(tokenize(text, spec).tokens) == brute_force_tokens(text, entries)
 
 
 @given(text=asm_like_text, entries=ident_entries)
