@@ -7,6 +7,11 @@ transfers, branches, BX, and the EABI exit/write syscalls.  Anything outside
 the subset stops execution loudly with a real signal so a harness above can
 classify the outcome, never silently misexecutes.
 
+The decoder follows the ARM Architecture Reference Manual's pseudocode
+helpers, each written once: ConditionPassed (``_CONDITIONS``), DecodeImmShift
+and Shift_C (``Cpu._imm_shift``, ``Cpu._shift``) and AddWithCarry (the
+``_ARITHMETIC`` operand selectors in ``Cpu._data_processing``).
+
 Intended as the ``emulate`` command of toolchain profiles on machines without
 qemu-user; run as ``python -m xisa.armvm BINARY``.
 """
@@ -21,24 +26,44 @@ import sys
 STACK_TOP = 0x7FF0_0000
 STACK_SIZE = 1 << 20
 MASK32 = 0xFFFF_FFFF
+RRX = 4  # shift type beside LSL/LSR/ASR/ROR (0-3), as DecodeImmShift returns it
 
 
-class MemoryFault(Exception):
+class GuestFault(Exception):
+    """A fault that ends the guest: ``run`` reports it and dies by ``signo``."""
+
+    signo: signal.Signals
+
+
+class MemoryFault(GuestFault):
+    signo = signal.SIGSEGV
+
     def __init__(self, addr: int):
         super().__init__(f"Invalid memory access at 0x{addr & MASK32:08x}")
         self.addr = addr
 
 
-class UndefinedInstruction(Exception):
+class UndefinedInstruction(GuestFault):
+    signo = signal.SIGILL
+
     def __init__(self, word: int, addr: int):
         super().__init__(
             f"undefined or unsupported instruction 0x{word:08x} at 0x{addr:08x}"
         )
 
 
-class UnsupportedSyscall(Exception):
+class UnsupportedSyscall(GuestFault):
+    signo = signal.SIGSYS
+
     def __init__(self, number: int):
         super().__init__(f"unsupported syscall {number}")
+
+
+class BudgetExhausted(GuestFault):
+    signo = signal.SIGKILL
+
+    def __init__(self, max_steps: int):
+        super().__init__(f"instruction budget of {max_steps} exhausted")
 
 
 class GuestExit(Exception):
@@ -105,7 +130,42 @@ def load_elf(path: str) -> tuple[Memory, int]:
     return Memory(base, image), e_entry
 
 
-_COND_NAMES = "eq ne cs cc mi pl vs vc hi ls ge lt gt le al nv".split()
+# ConditionPassed: the test for cond >> 1; an odd cond negates it
+_CONDITIONS = (
+    lambda cpu: cpu.z,                              # eq / ne
+    lambda cpu: cpu.c,                              # cs / cc
+    lambda cpu: cpu.n,                              # mi / pl
+    lambda cpu: cpu.v,                              # vs / vc
+    lambda cpu: cpu.c and not cpu.z,                # hi / ls
+    lambda cpu: cpu.n == cpu.v,                     # ge / lt
+    lambda cpu: not cpu.z and cpu.n == cpu.v,       # gt / le
+    lambda cpu: True,                               # al (step skips the test)
+)
+
+# logical opcodes: C comes from the shifter, V is left alone
+_LOGICAL = {
+    0x0: lambda a, b: a & b,                # AND
+    0x1: lambda a, b: a ^ b,                # EOR
+    0x8: lambda a, b: a & b,                # TST
+    0x9: lambda a, b: a ^ b,                # TEQ
+    0xC: lambda a, b: a | b,                # ORR
+    0xD: lambda a, b: b,                    # MOV
+    0xE: lambda a, b: a & (b ^ MASK32),     # BIC
+    0xF: lambda a, b: b ^ MASK32,           # MVN
+}
+
+# arithmetic opcodes: the (x, y, carry_in) of AddWithCarry from Rn, the
+# shifter operand and C
+_ARITHMETIC = {
+    0x2: lambda a, b, c: (a, b ^ MASK32, 1),    # SUB
+    0x3: lambda a, b, c: (b, a ^ MASK32, 1),    # RSB
+    0x4: lambda a, b, c: (a, b, 0),             # ADD
+    0x5: lambda a, b, c: (a, b, c),             # ADC
+    0x6: lambda a, b, c: (a, b ^ MASK32, c),    # SBC
+    0x7: lambda a, b, c: (b, a ^ MASK32, c),    # RSC
+    0xA: lambda a, b, c: (a, b ^ MASK32, 1),    # CMP
+    0xB: lambda a, b, c: (a, b, 0),             # CMN
+}
 
 
 class Cpu:
@@ -126,182 +186,68 @@ class Cpu:
             return (self.pc + 8) & MASK32
         return self.regs[i]
 
-    def cond_passes(self, cond: int) -> bool:
-        n, z, c, v = self.n, self.z, self.c, self.v
-        if cond == 0:
-            return z
-        if cond == 1:
-            return not z
-        if cond == 2:
-            return c
-        if cond == 3:
-            return not c
-        if cond == 4:
-            return n
-        if cond == 5:
-            return not n
-        if cond == 6:
-            return v
-        if cond == 7:
-            return not v
-        if cond == 8:
-            return c and not z
-        if cond == 9:
-            return (not c) or z
-        if cond == 10:
-            return n == v
-        if cond == 11:
-            return n != v
-        if cond == 12:
-            return (not z) and n == v
-        if cond == 13:
-            return z or n != v
-        if cond == 14:
-            return True
-        return False  # 0b1111: unconditional space handled separately
-
     # --- shifter operand ----------------------------------------------------
 
-    def _shift_imm(self, value: int, stype: int, amount: int) -> tuple[int, bool]:
-        if stype == 0:  # LSL
-            if amount == 0:
-                return value, self.c
-            return (value << amount) & MASK32, bool((value >> (32 - amount)) & 1)
-        if stype == 1:  # LSR (amount 0 encodes 32)
-            if amount == 0:
-                return 0, bool(value >> 31)
-            return value >> amount, bool((value >> (amount - 1)) & 1)
-        if stype == 2:  # ASR (amount 0 encodes 32)
-            if amount == 0:
-                amount = 32
-            if amount >= 32:
-                return (MASK32 if value >> 31 else 0), bool(value >> 31)
-            signed = value - (1 << 32) if value >> 31 else value
-            return (signed >> amount) & MASK32, bool((value >> (amount - 1)) & 1)
-        # ROR (amount 0 encodes RRX)
-        if amount == 0:
-            out = ((1 << 31) if self.c else 0) | (value >> 1)
-            return out, bool(value & 1)
-        out = ((value >> amount) | (value << (32 - amount))) & MASK32
-        return out, bool(out >> 31)
-
-    def _shift_reg(self, value: int, stype: int, amount: int) -> tuple[int, bool]:
-        amount &= 0xFF
+    def _shift(self, value: int, stype: int, amount: int) -> tuple[int, bool]:
+        """Shift_C: ``value`` shifted by ``amount`` (0-255), and the carry out."""
         if amount == 0:
             return value, self.c
         if stype == 0:  # LSL
-            if amount < 32:
-                return (value << amount) & MASK32, bool((value >> (32 - amount)) & 1)
-            if amount == 32:
-                return 0, bool(value & 1)
-            return 0, False
+            wide = value << amount
+            return wide & MASK32, bool(wide >> 32 & 1)
         if stype == 1:  # LSR
-            if amount < 32:
-                return value >> amount, bool((value >> (amount - 1)) & 1)
-            if amount == 32:
-                return 0, bool(value >> 31)
-            return 0, False
+            return value >> amount, bool(value >> (amount - 1) & 1)
         if stype == 2:  # ASR
-            signed = value - (1 << 32) if value >> 31 else value
-            if amount < 32:
-                return (signed >> amount) & MASK32, bool((value >> (amount - 1)) & 1)
-            return (MASK32, True) if value >> 31 else (0, False)
-        amount %= 32  # ROR
-        if amount == 0:
-            return value, bool(value >> 31)
-        out = ((value >> amount) | (value << (32 - amount))) & MASK32
-        return out, bool(out >> 31)
+            signed = value - (value >> 31 << 32)
+            return signed >> amount & MASK32, bool(signed >> (amount - 1) & 1)
+        if stype == 3:  # ROR
+            amount &= 31
+            out = (value >> amount | value << (32 - amount)) & MASK32
+            return out, bool(out >> 31)
+        return self.c << 31 | value >> 1, bool(value & 1)  # RRX
+
+    def _imm_shift(self, word: int) -> tuple[int, bool]:
+        """Rm shifted by an immediate (DecodeImmShift, then Shift_C)."""
+        stype, amount = (word >> 5) & 3, (word >> 7) & 0x1F
+        if amount == 0 and stype:  # LSR/ASR #0 mean #32; ROR #0 is RRX
+            stype, amount = (RRX, 1) if stype == 3 else (stype, 32)
+        return self._shift(self.rread(word & 0xF), stype, amount)
 
     def operand2(self, word: int) -> tuple[int, bool]:
-        if word & (1 << 25):  # immediate
-            imm8 = word & 0xFF
-            rot = ((word >> 8) & 0xF) * 2
-            if rot == 0:
-                return imm8, self.c
-            value = ((imm8 >> rot) | (imm8 << (32 - rot))) & MASK32
-            return value, bool(value >> 31)
-        rm = word & 0xF
-        value = self.rread(rm)
-        stype = (word >> 5) & 3
+        if word & (1 << 25):  # rotated immediate (ARMExpandImm_C)
+            return self._shift(word & 0xFF, 3, (word >> 7) & 0x1E)
         if word & (1 << 4):  # shift by register
-            rs = (word >> 8) & 0xF
-            return self._shift_reg(value, stype, self.regs[rs])
-        return self._shift_imm(value, stype, (word >> 7) & 0x1F)
+            amount = self.regs[(word >> 8) & 0xF] & 0xFF
+            return self._shift(self.rread(word & 0xF), (word >> 5) & 3, amount)
+        return self._imm_shift(word)
 
     # --- instruction classes --------------------------------------------------
 
     def _data_processing(self, word: int) -> int | None:
         opcode = (word >> 21) & 0xF
-        set_flags = bool(word & (1 << 20))
-        rn = (word >> 16) & 0xF
+        set_flags = word & (1 << 20)  # always set for TST/TEQ/CMP/CMN
+        b, shifter_carry = self.operand2(word)
+        a = self.rread((word >> 16) & 0xF)
+        logical = _LOGICAL.get(opcode)
+        if logical:
+            result = logical(a, b)
+            carry, overflow = shifter_carry, self.v
+        else:  # AddWithCarry
+            x, y, carry_in = _ARITHMETIC[opcode](a, b, self.c)
+            total = x + y + carry_in
+            result = total & MASK32
+            carry = total > MASK32
+            overflow = bool((x ^ result) & (y ^ result) & (1 << 31))
+        if set_flags:
+            self.n, self.z, self.c, self.v = bool(result >> 31), result == 0, carry, overflow
+        if 8 <= opcode <= 11:  # TST/TEQ/CMP/CMN write no register
+            return None
         rd = (word >> 12) & 0xF
-        op2, shifter_carry = self.operand2(word)
-        a = self.rread(rn)
-
-        def arith(result64: int, carry: bool, overflow: bool) -> int:
+        if rd == 15:
             if set_flags:
-                self.c = carry
-                self.v = overflow
-            return result64 & MASK32
-
-        result: int
-        write = True
-        logical = False
-        if opcode == 0:  # AND
-            result, logical = a & op2, True
-        elif opcode == 1:  # EOR
-            result, logical = a ^ op2, True
-        elif opcode == 2:  # SUB
-            r = a - op2
-            result = arith(r, a >= op2, bool(((a ^ op2) & (a ^ (r & MASK32))) >> 31))
-        elif opcode == 3:  # RSB
-            r = op2 - a
-            result = arith(r, op2 >= a, bool(((op2 ^ a) & (op2 ^ (r & MASK32))) >> 31))
-        elif opcode == 4:  # ADD
-            r = a + op2
-            result = arith(r, r > MASK32, bool((~(a ^ op2) & (a ^ (r & MASK32))) >> 31))
-        elif opcode == 5:  # ADC
-            r = a + op2 + (1 if self.c else 0)
-            result = arith(r, r > MASK32, bool((~(a ^ op2) & (a ^ (r & MASK32))) >> 31))
-        elif opcode == 6:  # SBC
-            r = a - op2 - (0 if self.c else 1)
-            result = arith(r, r >= 0, bool(((a ^ op2) & (a ^ (r & MASK32))) >> 31))
-        elif opcode == 7:  # RSC
-            r = op2 - a - (0 if self.c else 1)
-            result = arith(r, r >= 0, bool(((op2 ^ a) & (op2 ^ (r & MASK32))) >> 31))
-        elif opcode == 8:  # TST
-            result, logical, write = a & op2, True, False
-        elif opcode == 9:  # TEQ
-            result, logical, write = a ^ op2, True, False
-        elif opcode == 10:  # CMP
-            r = a - op2
-            result = arith(r, a >= op2, bool(((a ^ op2) & (a ^ (r & MASK32))) >> 31))
-            write = False
-        elif opcode == 11:  # CMN
-            r = a + op2
-            result = arith(r, r > MASK32, bool((~(a ^ op2) & (a ^ (r & MASK32))) >> 31))
-            write = False
-        elif opcode == 12:  # ORR
-            result, logical = a | op2, True
-        elif opcode == 13:  # MOV
-            result, logical = op2, True
-        elif opcode == 14:  # BIC
-            result, logical = a & (op2 ^ MASK32), True
-        else:  # MVN
-            result, logical = op2 ^ MASK32, True
-
-        result &= MASK32
-        if set_flags or not write:
-            self.n = bool(result >> 31)
-            self.z = result == 0
-            if logical:
-                self.c = shifter_carry
-        if write:
-            if rd == 15:
-                if set_flags:
-                    raise UndefinedInstruction(word, self.pc)
-                return result & ~1
-            self.regs[rd] = result
+                raise UndefinedInstruction(word, self.pc)
+            return result & ~1
+        self.regs[rd] = result
         return None
 
     def _multiply(self, word: int) -> None:
@@ -328,12 +274,10 @@ class Cpu:
         rdlo = (word >> 12) & 0xF
         rs = (word >> 8) & 0xF
         rm = word & 0xF
-
-        def as_signed(x: int) -> int:
-            return x - (1 << 32) if x >> 31 else x
-
         a, b = self.regs[rm], self.regs[rs]
-        product = (as_signed(a) * as_signed(b)) if signed else (a * b)
+        if signed:
+            a, b = a - (a >> 31 << 32), b - (b >> 31 << 32)
+        product = a * b
         if accumulate:
             product += (self.regs[rdhi] << 32) | self.regs[rdlo]
         product &= (1 << 64) - 1
@@ -343,61 +287,52 @@ class Cpu:
             self.n = bool(product >> 63)
             self.z = product == 0
 
+    def _address(self, word: int, offset: int) -> tuple[int, int | None]:
+        """The transfer address of a load/store, and the base to write back
+        after the transfer (None: no writeback)."""
+        base = self.rread((word >> 16) & 0xF)
+        moved = (base + offset if word & (1 << 23) else base - offset) & MASK32
+        if not word & (1 << 24):  # post-indexed: always writes back
+            return base, moved
+        return moved, moved if word & (1 << 21) else None
+
     def _load_store(self, word: int) -> int | None:
-        pre = bool(word & (1 << 24))
-        up = bool(word & (1 << 23))
         byte = bool(word & (1 << 22))
-        writeback = bool(word & (1 << 21))
-        load = bool(word & (1 << 20))
-        rn = (word >> 16) & 0xF
         rd = (word >> 12) & 0xF
         if word & (1 << 25):
             if word & (1 << 4):
                 raise UndefinedInstruction(word, self.pc)
-            offset, _ = self._shift_imm(
-                self.rread(word & 0xF), (word >> 5) & 3, (word >> 7) & 0x1F
-            )
+            offset = self._imm_shift(word)[0]
         else:
             offset = word & 0xFFF
-        base = self.rread(rn)
-        addr = (base + offset if up else base - offset) & MASK32 if pre else base
+        addr, writeback = self._address(word, offset)
         size = 1 if byte else 4
         if not byte and addr & 3:
             raise MemoryFault(addr)
-        if load:
+        new_pc: int | None = None
+        if word & (1 << 20):  # load
             value = self.mem.load(addr, size)
             if rd == 15:
                 if value & 1:
                     raise UndefinedInstruction(word, self.pc)
-                new_pc: int | None = value & ~1
+                new_pc = value & ~1
             else:
                 self.regs[rd] = value
-                new_pc = None
         else:
             self.mem.store(addr, size, self.rread(rd))
-            new_pc = None
-        if not pre:
-            self.regs[rn] = (base + offset if up else base - offset) & MASK32
-        elif writeback:
-            self.regs[rn] = addr
+        if writeback is not None:
+            self.regs[(word >> 16) & 0xF] = writeback
         return new_pc
 
     def _extra_load_store(self, word: int) -> None:
-        pre = bool(word & (1 << 24))
-        up = bool(word & (1 << 23))
-        imm_form = bool(word & (1 << 22))
-        writeback = bool(word & (1 << 21))
-        load = bool(word & (1 << 20))
-        rn = (word >> 16) & 0xF
         rd = (word >> 12) & 0xF
         sh = (word >> 5) & 3
-        if imm_form:
+        if word & (1 << 22):  # immediate offset
             offset = ((word >> 4) & 0xF0) | (word & 0xF)
         else:
             offset = self.regs[word & 0xF]
-        base = self.rread(rn)
-        addr = (base + offset if up else base - offset) & MASK32 if pre else base
-        if load:
+        addr, writeback = self._address(word, offset)
+        if word & (1 << 20):  # load
             if sh == 1:  # LDRH
                 self.regs[rd] = self.mem.load(addr, 2)
             elif sh == 2:  # LDRSB
@@ -412,10 +347,8 @@ class Cpu:
             if sh != 1:  # only STRH exists here
                 raise UndefinedInstruction(word, self.pc)
             self.mem.store(addr, 2, self.rread(rd))
-        if not pre:
-            self.regs[rn] = (base + offset if up else base - offset) & MASK32
-        elif writeback:
-            self.regs[rn] = addr
+        if writeback is not None:
+            self.regs[(word >> 16) & 0xF] = writeback
 
     def _block_transfer(self, word: int) -> int | None:
         pre = bool(word & (1 << 24))
@@ -477,39 +410,35 @@ class Cpu:
         word = self.mem.load(pc, 4)
         self.steps += 1
         cond = word >> 28
-        if cond == 0xF:
-            raise UndefinedInstruction(word, pc)
-        if not self.cond_passes(cond):
-            self.pc = (pc + 4) & MASK32
-            return
+        if cond != 14:  # al always passes
+            if cond == 15:  # the unconditional space
+                raise UndefinedInstruction(word, pc)
+            if _CONDITIONS[cond >> 1](self) == (cond & 1):
+                self.pc = (pc + 4) & MASK32
+                return
         cls = (word >> 25) & 7
         new_pc: int | None = None
-        if cls == 0:
-            if (word & 0x0FC000F0) == 0x00000090:
-                self._multiply(word)
-            elif (word & 0x0F8000F0) == 0x00800090:
-                self._multiply_long(word)
-            elif (word & 0x0FFFFFF0) == 0x012FFF10:  # BX
+        if cls < 2:
+            if (word & 0x0E000090) == 0x00000090:  # bits 7 and 4 set
+                if (word & 0x0FC000F0) == 0x00000090:
+                    self._multiply(word)
+                elif (word & 0x0F8000F0) == 0x00800090:
+                    self._multiply_long(word)
+                else:
+                    self._extra_load_store(word)
+            elif (word & 0x0FFFFFD0) == 0x012FFF10:  # BX, BLX register
                 target = self.rread(word & 0xF)
                 if target & 1:
                     raise UndefinedInstruction(word, pc)  # no Thumb support
+                if word & (1 << 5):
+                    self.regs[14] = (pc + 4) & MASK32
                 new_pc = target & ~1
-            elif (word & 0x0FFFFFF0) == 0x012FFF30:  # BLX register
-                target = self.rread(word & 0xF)
-                if target & 1:
-                    raise UndefinedInstruction(word, pc)
-                self.regs[14] = (pc + 4) & MASK32
-                new_pc = target & ~1
-            elif (word & 0x0E000090) == 0x00000090:
-                self._extra_load_store(word)
-            elif (word & 0x0F900010) == 0x01000000:  # MRS/MSR and friends
+            elif (word & 0x01900000) == 0x01000000:
+                # TST/TEQ/CMP/CMN without S: MRS, MSR, CLZ, BKPT, saturating
+                # and DSP arithmetic, none of them supported
                 raise UndefinedInstruction(word, pc)
             else:
                 new_pc = self._data_processing(word)
-        elif cls == 1:
-            if (word & 0x01900000) == 0x01000000:  # MSR immediate
-                raise UndefinedInstruction(word, pc)
-            new_pc = self._data_processing(word)
         elif cls in (2, 3):
             new_pc = self._load_store(word)
         elif cls == 4:
@@ -538,26 +467,13 @@ def run(path: str, max_steps: int = 0) -> int:
         while True:
             cpu.step()
             if max_steps and cpu.steps >= max_steps:
-                print(
-                    f"armvm: instruction budget of {max_steps} exhausted",
-                    file=sys.stderr,
-                )
-                sys.stderr.flush()
-                os.kill(os.getpid(), signal.SIGKILL)
+                raise BudgetExhausted(max_steps)
     except GuestExit as exit_info:
         return exit_info.code
-    except MemoryFault as fault:
+    except GuestFault as fault:
         print(f"armvm: {fault}", file=sys.stderr)
         sys.stderr.flush()
-        os.kill(os.getpid(), signal.SIGSEGV)
-    except UndefinedInstruction as undef:
-        print(f"armvm: {undef}", file=sys.stderr)
-        sys.stderr.flush()
-        os.kill(os.getpid(), signal.SIGILL)
-    except UnsupportedSyscall as sysc:
-        print(f"armvm: {sysc}", file=sys.stderr)
-        sys.stderr.flush()
-        os.kill(os.getpid(), signal.SIGSYS)
+        os.kill(os.getpid(), fault.signo)
     raise AssertionError("unreachable")
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,20 @@ CONFIGS = ROOT / "configs"
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
 )
+
+
+def _load_armenc():
+    """The benchmark's ARMv5 encoder, loaded by path: perfbench is no package."""
+    spec = importlib.util.spec_from_file_location(
+        "armenc", ROOT / "perfbench" / "armenc.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+armenc = _load_armenc()
 
 
 def have(tool: str) -> bool:
@@ -79,3 +95,16 @@ def rule_pairs(lite_cfg) -> list[TranspilePair]:
     if not HAVE_LITE_TOOLCHAIN:
         pytest.skip("needs gcc + clang + ld.lld")
     return load_eval_suite(FIXTURES / "rule_suite", IsaName.ARMV5, lite_cfg)
+
+
+@pytest.fixture
+def arm_elf(tmp_path):
+    """``write(words)`` puts ``armenc.elf32(words)`` under tmp_path and
+    returns its path: an ARM binary without an ARM toolchain."""
+
+    def write(words: list[int]) -> Path:
+        path = tmp_path / "prog.elf"
+        path.write_bytes(armenc.elf32(words))
+        return path
+
+    return write

@@ -122,8 +122,8 @@ def test_criterion_3_token_reduction_positive(arm_corpus_units):
 
 # --- 4. harness self-test: ground-truth replay ------------------------------------
 
-def _replay_suite(cfg, results_sink: list) -> None:
-    pairs = load_eval_suite(FIXTURES / "mini_suite", IsaName.ARMV5, cfg)
+def _replay_suite(cfg, results_sink: list, target: IsaName = IsaName.ARMV5) -> None:
+    pairs = load_eval_suite(FIXTURES / "mini_suite", target, cfg)
     assert len(pairs) >= 10
     results, summary = evaluate_suite(
         pairs, ReplayBackend(pairs), GenerationParams(), cfg, jobs=4
@@ -141,6 +141,13 @@ def test_criterion_4_ground_truth_replay(lite_cfg, _result_log):
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     print(PASS.format(4, f"ground-truth replay scores 1.0/0/1.0 over the mini-suite under emulation in {elapsed:.0f}s"))
+
+
+@needs_gcc
+def test_criterion_4_gcc_only_ground_truth_replay(lite_cfg, _result_log):
+    # x86_64 self-translation: the same harness path with only gcc installed
+    _replay_suite(lite_cfg, _result_log, IsaName.X86_64)
+    print(PASS.format(4, "x86_64 ground-truth replay scores 1.0/0/1.0 over the mini-suite with gcc only"))
 
 
 @pytest.mark.skipif(not HAVE_CROSS_GNU, reason="GNU cross toolchain + qemu not installed")

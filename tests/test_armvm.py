@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-from conftest import needs_lite
+import pytest
+
+from conftest import armenc, needs_lite
+from armenc import SVC0, bx, dp, mem, mov, mul, pop, push  # loaded by conftest
+from xisa import armvm
 from xisa.toolrun import data_dir
 
 CLANG_ARM = ["clang", "--target=armv5te-linux-gnueabi"]
@@ -223,7 +228,6 @@ pop {fp, pc}
     assert proc.stdout == "OK"
 
 
-@needs_lite
 def test_non_arm_binary_rejected(tmp_path):
     fake = tmp_path / "not_elf"
     fake.write_bytes(b"\x7fELFgarbage")
@@ -312,3 +316,333 @@ def test_differential_against_native_execution(tmp_path):
         )
         got = run_vm(binary).returncode
         assert got == expected, f"program {i}: native={expected} armvm={got}\n{body}"
+
+
+# --- toolchain-free twins: the programs above, hand-encoded with armenc ------
+
+FP, SP, LR, PC = 11, 13, 14, 15
+
+
+def with_start(build_main) -> list[int]:
+    """``_start`` from start_armv5.s (bl main; exit with r0), then main."""
+    p = armenc.Program()
+    p.branch("main", link=True)
+    p.emit(mov(7, ("#", 1)), SVC0)
+    p.label("main")
+    build_main(p)
+    return p.words()
+
+
+def run_main(arm_elf, *words: int) -> subprocess.CompletedProcess:
+    return run_vm(arm_elf(with_start(lambda p: p.emit(*words))))
+
+
+def test_exit_code_path_encoded(arm_elf):
+    assert run_main(arm_elf, mov(0, ("#", 42)), bx(LR)).returncode == 42
+
+
+def test_arithmetic_and_flags_encoded(arm_elf):
+    proc = run_main(
+        arm_elf,
+        mov(1, ("#", 7)),
+        mov(2, ("#", 6)),
+        mul(3, 1, 2),
+        dp("sub", 3, 3, ("#", 2)),
+        dp("cmp", 0, 3, ("#", 40)),
+        mov(0, ("#", 0), cond="eq"),
+        mov(0, ("#", 1), cond="ne"),
+        bx(LR),
+    )
+    assert proc.returncode == 0
+
+
+def test_conditional_branches_encoded(arm_elf):
+    def main(p):
+        p.emit(mov(0, ("#", 5)), dp("cmp", 0, 0, ("#", 10)))
+        p.branch("wrong", cond="ge")
+        p.emit(mov(0, ("#", 0)), bx(LR))
+        p.label("wrong")
+        p.emit(mov(0, ("#", 1)), bx(LR))
+
+    assert run_vm(arm_elf(with_start(main))).returncode == 0
+
+
+def test_signed_comparison_negative_encoded(arm_elf):
+    def main(p):
+        p.emit(mov(1, ("#", 0)), dp("sub", 1, 1, ("#", 5)), dp("cmp", 0, 1, ("#", 3)))
+        p.branch("ok", cond="lt")
+        p.emit(mov(0, ("#", 1)), bx(LR))
+        p.label("ok")
+        p.emit(mov(0, ("#", 0)), bx(LR))
+
+    assert run_vm(arm_elf(with_start(main))).returncode == 0
+
+
+def test_memory_and_stack_encoded(arm_elf):
+    proc = run_main(
+        arm_elf,
+        push([FP, LR]),
+        mov(FP, SP),
+        dp("sub", SP, SP, ("#", 8)),
+        mov(1, ("#", 17)),
+        mem("str", 1, FP, -4),
+        mem("ldr", 0, FP, -4),
+        mov(SP, FP),
+        pop([FP, PC]),
+    )
+    assert proc.returncode == 17
+
+
+def test_byte_loads_and_stores_encoded(arm_elf):
+    proc = run_main(
+        arm_elf,
+        dp("sub", SP, SP, ("#", 8)),
+        mov(1, ("#", 65)),
+        mem("strb", 1, SP, 1),
+        mem("ldrb", 0, SP, 1),
+        dp("sub", 0, 0, ("#", 60)),
+        dp("add", SP, SP, ("#", 8)),
+        bx(LR),
+    )
+    assert proc.returncode == 5
+
+
+def test_literal_pool_big_constant_encoded(arm_elf):
+    # each ldr reads the pool word 4 words after it: pc reads 8 bytes ahead
+    proc = run_main(
+        arm_elf,
+        mem("ldr", 0, PC, 8),
+        mem("ldr", 1, PC, 8),
+        dp("sub", 0, 0, 1),
+        bx(LR),
+        123456789,
+        123456689,
+    )
+    assert proc.returncode == 100
+
+
+def test_shift_operands_encoded(arm_elf):
+    proc = run_main(
+        arm_elf,
+        mov(1, ("#", 3)),
+        mov(2, 1, ("lsl", 4)),
+        dp("add", 2, 2, 1, ("lsl", 1)),
+        mov(0, 2),
+        bx(LR),
+    )
+    assert proc.returncode == 54  # 3<<4 + 3<<1
+
+
+def test_function_call_and_return_encoded(arm_elf):
+    def main(p):
+        p.emit(push([4, LR]), mov(0, ("#", 21)))
+        p.branch("double_it", link=True)
+        p.emit(pop([4, PC]))
+        p.label("double_it")
+        p.emit(dp("add", 0, 0, 0), bx(LR))
+
+    assert run_vm(arm_elf(with_start(main))).returncode == 42
+
+
+def test_segfault_reports_invalid_address_encoded(arm_elf):
+    proc = run_main(arm_elf, mov(1, ("#", 68)), mem("ldr", 0, 1, 0), bx(LR))
+    assert proc.returncode == -11  # killed by SIGSEGV
+    assert "Invalid memory access" in proc.stderr
+
+
+def test_undefined_instruction_raises_sigill_encoded(arm_elf):
+    proc = run_main(arm_elf, 0xFFFFFFFF, bx(LR))
+    assert proc.returncode == -4  # SIGILL
+    assert "unsupported instruction" in proc.stderr
+
+
+def test_write_syscall_encoded(arm_elf):
+    proc = run_main(
+        arm_elf,
+        push([FP, LR]),
+        mov(FP, SP),
+        dp("sub", SP, SP, ("#", 8)),
+        mov(1, ("#", 79)),
+        mem("strb", 1, FP, -8),
+        mov(1, ("#", 75)),
+        mem("strb", 1, FP, -7),
+        mov(0, ("#", 1)),
+        dp("sub", 1, FP, ("#", 8)),
+        mov(2, ("#", 2)),
+        mov(7, ("#", 4)),
+        SVC0,
+        mov(0, ("#", 0)),
+        mov(SP, FP),
+        pop([FP, PC]),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "OK"
+
+
+# --- whole guests, in-process -------------------------------------------------
+
+def guests(seed: int) -> list:
+    rng = random.Random(seed)
+    return [armenc.exit_guest(rng), armenc.loop_guest(rng, 60),
+            armenc.straight_guest(rng, 300), armenc.selfstore_guest(rng, 60)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_armenc_guests_exit_code_and_steps(tmp_path, seed):
+    for guest in guests(seed):
+        path = tmp_path / f"{guest.name}.elf"
+        path.write_bytes(guest.image)
+        assert armvm.run(str(path)) == guest.exit_code, guest.name
+        cpu = armvm.Cpu(*armvm.load_elf(str(path)))
+        with pytest.raises(armvm.GuestExit):
+            while True:
+                cpu.step()
+        assert cpu.steps == guest.instructions, guest.name
+
+
+def test_instruction_budget_kills_with_sigkill(tmp_path):
+    path = tmp_path / "loop.elf"
+    path.write_bytes(guests(0)[1].image)
+    proc = subprocess.run(
+        [sys.executable, "-m", "xisa.armvm", str(path), "--max-steps", "10"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == -9  # SIGKILL
+    assert "armvm: instruction budget of 10 exhausted" in proc.stderr
+
+
+# --- single steps ---------------------------------------------------------------
+
+def step(word: int, regs: dict[int, int] | None = None, flags: str = "") -> armvm.Cpu:
+    """One instruction at 0x10000 from the given registers and set flags
+    (letters of "NZCV")."""
+    cpu = armvm.Cpu(armvm.Memory(0x10000, bytearray(word.to_bytes(4, "little"))), 0x10000)
+    for reg, value in (regs or {}).items():
+        cpu.regs[reg] = value
+    cpu.n, cpu.z, cpu.c, cpu.v = (letter in flags for letter in "NZCV")
+    cpu.step()
+    return cpu
+
+
+def nzcv(cpu: armvm.Cpu) -> str:
+    return "".join(letter for letter, f in zip("NZCV", (cpu.n, cpu.z, cpu.c, cpu.v)) if f)
+
+
+def reg_shift(kind: str, rm: int, rs: int) -> int:
+    """movs r0, rm, <kind> rs"""
+    return dp("mov", 0, 0, rm, s=True) | rs << 8 | armenc.SHIFT[kind] << 5 | 1 << 4
+
+
+M = 0xFFFF_FFFF
+
+# (word, registers, flags before, r0 after, flags after); values by hand
+FLAG_AND_SHIFT_CASES = [
+    # AddWithCarry: ADDS 0x7FFFFFFF + 1 overflows into the sign bit
+    (dp("add", 0, 1, 2, s=True), {1: 0x7FFFFFFF, 2: 1}, "", 0x80000000, "NV"),
+    (dp("add", 0, 1, 2, s=True), {1: M, 2: 1}, "", 0, "ZC"),
+    # SUBS 0 - 1 borrows: C clear
+    (dp("sub", 0, 1, 2, s=True), {1: 0, 2: 1}, "C", M, "N"),
+    (dp("sub", 0, 1, 2, s=True), {1: 5, 2: 5}, "", 0, "ZC"),
+    (dp("sub", 0, 1, 2, s=True), {1: 0x80000000, 2: 1}, "", 0x7FFFFFFF, "CV"),
+    # RSBS r0, r1, #0 is 0 - r1
+    (dp("rsb", 0, 1, ("#", 0), s=True), {1: 1}, "", M, "N"),
+    (dp("rsb", 0, 1, ("#", 0), s=True), {1: 0x80000000}, "", 0x80000000, "NV"),
+    (dp("rsb", 0, 1, ("#", 0), s=True), {1: 0}, "", 0, "ZC"),
+    # ADCS adds C in
+    (dp("adc", 0, 1, 2, s=True), {1: M, 2: 0}, "", M, "N"),
+    (dp("adc", 0, 1, 2, s=True), {1: M, 2: 0}, "C", 0, "ZC"),
+    (dp("adc", 0, 1, 2, s=True), {1: 0x7FFFFFFF, 2: 0}, "C", 0x80000000, "NV"),
+    # SBCS subtracts NOT C
+    (dp("sbc", 0, 1, 2, s=True), {1: 5, 2: 5}, "", M, "N"),
+    (dp("sbc", 0, 1, 2, s=True), {1: 5, 2: 5}, "C", 0, "ZC"),
+    (dp("sbc", 0, 1, 2, s=True), {1: 0x80000000, 2: 0}, "", 0x7FFFFFFF, "CV"),
+    # RSC: r2 - r1 - NOT C
+    (dp("rsc", 0, 1, 2, s=True), {1: 1, 2: 5}, "", 3, "C"),
+    # CMP/CMN set flags and write nothing (r0 keeps 7)
+    (dp("cmp", 0, 1, 2), {0: 7, 1: 3, 2: 5}, "", 7, "N"),
+    (dp("cmn", 0, 1, 2), {0: 7, 1: M, 2: 1}, "", 7, "ZC"),
+    # immediate shifts: LSR/ASR #0 encode #32, ROR #0 encodes RRX
+    (mov(0, 1, ("lsr", 32)) | 1 << 20, {1: 0x80000001}, "V", 0, "ZCV"),
+    (mov(0, 1, ("asr", 32)) | 1 << 20, {1: 0x80000000}, "", M, "NC"),
+    (mov(0, 1, ("asr", 32)) | 1 << 20, {1: 0x7FFFFFFF}, "C", 0, "Z"),
+    (mov(0, 1, ("ror", 0)) | 1 << 20, {1: 3}, "C", 0x80000001, "NC"),
+    (mov(0, 1, ("ror", 0)) | 1 << 20, {1: 2}, "", 1, ""),
+    (mov(0, 1, ("lsl", 1)) | 1 << 20, {1: 0x80000001}, "", 2, "C"),
+    # register shifts use the low byte of Rs: 0 keeps C
+    (reg_shift("lsl", 1, 2), {1: 0x80000001, 2: 0}, "C", 0x80000001, "NC"),
+    (reg_shift("lsl", 1, 2), {1: 0x80000001, 2: 0x100}, "", 0x80000001, "N"),
+    (reg_shift("lsl", 1, 2), {1: 0x80000001, 2: 32}, "", 0, "ZC"),
+    (reg_shift("lsl", 1, 2), {1: 0x80000001, 2: 33}, "C", 0, "Z"),
+    (reg_shift("lsl", 1, 2), {1: M, 2: 255}, "C", 0, "Z"),
+    (reg_shift("lsr", 1, 2), {1: 0x80000001, 2: 32}, "", 0, "ZC"),
+    (reg_shift("lsr", 1, 2), {1: M, 2: 33}, "C", 0, "Z"),
+    (reg_shift("lsr", 1, 2), {1: M, 2: 255}, "C", 0, "Z"),
+    (reg_shift("asr", 1, 2), {1: 0x80000000, 2: 32}, "", M, "NC"),
+    (reg_shift("asr", 1, 2), {1: 0x80000000, 2: 33}, "", M, "NC"),
+    (reg_shift("asr", 1, 2), {1: 0x40000000, 2: 255}, "C", 0, "Z"),
+    (reg_shift("ror", 1, 2), {1: 0x80000001, 2: 32}, "", 0x80000001, "NC"),
+    (reg_shift("ror", 1, 2), {1: 0x00000001, 2: 32}, "C", 1, ""),
+    (reg_shift("ror", 1, 2), {1: 0x00000003, 2: 33}, "", 0x80000001, "NC"),
+    (reg_shift("ror", 1, 2), {1: 0x00000003, 2: 0}, "", 3, ""),
+]
+
+
+@pytest.mark.parametrize("word,regs,before,result,after", FLAG_AND_SHIFT_CASES)
+def test_flags_and_shifts(word, regs, before, result, after):
+    cpu = step(word, regs, before)
+    assert cpu.regs[0] == result
+    assert nzcv(cpu) == after
+
+
+# one row per condition, one column per NZCV state (N the high bit):
+# 1 where the condition passes
+CONDITION_TABLE = {
+    "eq": "0000111100001111",
+    "ne": "1111000011110000",
+    "cs": "0011001100110011",
+    "cc": "1100110011001100",
+    "mi": "0000000011111111",
+    "pl": "1111111100000000",
+    "vs": "0101010101010101",
+    "vc": "1010101010101010",
+    "hi": "0011000000110000",
+    "ls": "1100111111001111",
+    "ge": "1010101001010101",
+    "lt": "0101010110101010",
+    "gt": "1010000001010000",
+    "le": "0101111110101111",
+    "al": "1111111111111111",
+}
+
+
+@pytest.mark.parametrize("cond", CONDITION_TABLE)
+def test_all_conditions_against_all_flag_states(cond):
+    for state in range(16):
+        flags = "".join(letter for i, letter in enumerate("NZCV") if state >> (3 - i) & 1)
+        cpu = step(mov(0, ("#", 1), cond=cond), {0: 0}, flags)
+        assert cpu.regs[0] == int(CONDITION_TABLE[cond][state]), (cond, flags)
+        assert cpu.pc == 0x10004
+        assert nzcv(cpu) == flags
+
+
+@pytest.mark.parametrize(
+    "word", [0xE16F0F11, 0xE1020051, 0xE1200070], ids=["clz", "qadd", "bkpt"]
+)
+def test_miscellaneous_instructions_are_undefined(word):
+    # once run as flag-setting TST/TEQ/CMP/CMN without S
+    with pytest.raises(armvm.UndefinedInstruction):
+        step(word, {1: 1, 2: 2})
+
+
+def test_writeback_follows_the_transfer():
+    stack = armvm.STACK_TOP - 256
+    # str r1, [r1, #4]! stores the old base, then writes the new one back
+    cpu = step(0xE5A11004, {1: stack})
+    assert cpu.mem.load(stack + 4, 4) == stack
+    assert cpu.regs[1] == stack + 4
+    # ldr r1, [r1], #4: post-indexed, the writeback overwrites the load
+    cpu = step(0xE4911004, {1: stack})
+    assert cpu.regs[1] == stack + 4
+    # ldr r2, [r1, #-4]: pre-indexed without ! leaves the base alone
+    cpu = step(0xE5112004, {1: stack + 4, 2: 9})
+    assert (cpu.regs[1], cpu.regs[2]) == (stack + 4, 0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, needs_gcc, needs_lite
+from conftest import CONFIGS, FIXTURES, needs_gcc, needs_lite
 from xisa.asmtext import parse_assembly
 from xisa.backends import Backend, Candidate, IdentityBackend, ReplayBackend
 from xisa.core import GenerationParams, IsaName, parse_config
@@ -602,6 +602,65 @@ def test_all_beams_failing_reports_beam_0_gcc_only(mini_pairs_x86, lite_cfg):
     # beam 1 would have been an assemble error
     assert result.outcome.status is OutcomeStatus.TEST_FAILED
     assert result.error_class is not None
+
+
+def _x86_broken(pair: TranspilePair, kind: str) -> str:
+    """sum_upto broken one way per outcome, from gcc's ground truth."""
+    truth = pair.target.normalized_text
+    return {
+        "unknown_mnemonic": X86_SUM_UPTO_UNASSEMBLABLE,
+        "renamed_global": truth.replace("sum_upto", "sum_upto_renamed"),
+        "null_load": "\t.globl sum_upto\nsum_upto:\n\txorl %eax, %eax\n"
+                     "\tmovl (%rax), %eax\n\tret\n",
+        "off_by_one": truth.replace("popq %rbp\nret", "addl $1, %eax\npopq %rbp\nret"),
+        "infinite_loop": "\t.globl sum_upto\nsum_upto:\n.Lspin:\n\tjmp .Lspin\n",
+    }[kind]
+
+
+@needs_gcc
+@pytest.mark.parametrize("kind,expected", [
+    ("unknown_mnemonic", "assemble_error"),
+    ("renamed_global", "link_error"),
+    ("null_load", "runtime_crash(SIGSEGV)"),
+    ("off_by_one", "test_failed(1)"),
+    ("infinite_loop", "timeout"),
+])
+def test_one_broken_candidate_per_outcome_gcc_only(mini_pairs_x86, kind, expected):
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    shipped = (CONFIGS / "clang-lite.cfg").read_text(encoding="utf-8")
+    assert shipped.count("timeout_run = 10\n") == 1
+    cfg = parse_config(shipped.replace("timeout_run = 10\n", "timeout_run = 1\n"))
+    candidate = _x86_broken(pair, kind)
+    outcome, logs = run_functional(candidate, pair, cfg)
+    assert outcome.describe() == expected, logs
+    error_class = classify_error(outcome, logs, parse_assembly(candidate, IsaName.X86_64))
+    # the other classes move with the control-flow-aware register profile
+    if kind == "null_load":
+        assert error_class is ErrorClass.ADDRESSING
+
+
+@needs_gcc
+def test_link_error_records_are_deterministic_gcc_only(mini_pairs_x86, lite_cfg):
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    backend = FixedBeams([_x86_broken(pair, "renamed_global")])
+    records = []
+    for _ in range(2):
+        record = result_to_record(evaluate_pair(pair, backend, GenerationParams(), lite_cfg))
+        record.pop("latency_ms")
+        records.append(record)
+    assert records[0]["outcome"] == "link_error"
+    assert "sum_upto" in records[0]["logs"]
+    assert records[0] == records[1]
+
+
+@needs_gcc
+def test_broken_test_driver_is_toolchain_error_gcc_only(mini_pairs_x86, lite_cfg, tmp_path):
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    broken = tmp_path / "test.c"
+    broken.write_text("int main(void) { return sum_upto(1) != 1 }\n")  # no ';'
+    broken_pair = dataclasses.replace(pair, test_source_path=str(broken))
+    with pytest.raises(ToolchainError, match="test-driver build failed"):
+        run_functional(pair.target.normalized_text, broken_pair, lite_cfg)
 
 
 @needs_lite
