@@ -217,7 +217,10 @@ class Cpu:
         if word & (1 << 25):  # rotated immediate (ARMExpandImm_C)
             return self._shift(word & 0xFF, 3, (word >> 7) & 0x1E)
         if word & (1 << 4):  # shift by register
-            amount = self.regs[(word >> 8) & 0xF] & 0xFF
+            rs = (word >> 8) & 0xF
+            if rs == 15:  # UNPREDICTABLE
+                raise UndefinedInstruction(word, self.pc)
+            amount = self.regs[rs] & 0xFF
             return self._shift(self.rread(word & 0xF), (word >> 5) & 3, amount)
         return self._imm_shift(word)
 
@@ -257,6 +260,8 @@ class Cpu:
         rn = (word >> 12) & 0xF
         rs = (word >> 8) & 0xF
         rm = word & 0xF
+        if 15 in (rd, rs, rm) or accumulate and rn == 15:  # UNPREDICTABLE
+            raise UndefinedInstruction(word, self.pc)
         result = self.regs[rm] * self.regs[rs]
         if accumulate:
             result += self.regs[rn]
@@ -274,6 +279,8 @@ class Cpu:
         rdlo = (word >> 12) & 0xF
         rs = (word >> 8) & 0xF
         rm = word & 0xF
+        if 15 in (rdhi, rdlo, rs, rm):  # UNPREDICTABLE
+            raise UndefinedInstruction(word, self.pc)
         a, b = self.regs[rm], self.regs[rs]
         if signed:
             a, b = a - (a >> 31 << 32), b - (b >> 31 << 32)
@@ -290,11 +297,16 @@ class Cpu:
     def _address(self, word: int, offset: int) -> tuple[int, int | None]:
         """The transfer address of a load/store, and the base to write back
         after the transfer (None: no writeback)."""
-        base = self.rread((word >> 16) & 0xF)
+        rn = (word >> 16) & 0xF
+        base = self.rread(rn)
         moved = (base + offset if word & (1 << 23) else base - offset) & MASK32
         if not word & (1 << 24):  # post-indexed: always writes back
-            return base, moved
-        return moved, moved if word & (1 << 21) else None
+            addr, writeback = base, moved
+        else:
+            addr, writeback = moved, moved if word & (1 << 21) else None
+        if writeback is not None and rn == 15:  # UNPREDICTABLE
+            raise UndefinedInstruction(word, self.pc)
+        return addr, writeback
 
     def _load_store(self, word: int) -> int | None:
         byte = bool(word & (1 << 22))
@@ -327,6 +339,8 @@ class Cpu:
     def _extra_load_store(self, word: int) -> None:
         rd = (word >> 12) & 0xF
         sh = (word >> 5) & 3
+        if rd == 15 or not word & (1 << 22) and word & 0xF == 15:  # UNPREDICTABLE
+            raise UndefinedInstruction(word, self.pc)
         if word & (1 << 22):  # immediate offset
             offset = ((word >> 4) & 0xF0) | (word & 0xF)
         else:
@@ -358,6 +372,8 @@ class Cpu:
         writeback = bool(word & (1 << 21))
         load = bool(word & (1 << 20))
         rn = (word >> 16) & 0xF
+        if rn == 15:  # UNPREDICTABLE
+            raise UndefinedInstruction(word, self.pc)
         reglist = word & 0xFFFF
         count = bin(reglist).count("1")
         base = self.regs[rn]

@@ -49,10 +49,6 @@ class Isa:
         if not self.comment_leaders:
             raise ValueError(f"{self.name}: no comment leaders")
 
-    @property
-    def register_names(self) -> tuple[str, ...]:
-        return tuple(self.registers)
-
 
 def _x86_registers() -> dict[str, str]:
     base = ("rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi")
@@ -191,7 +187,11 @@ class IsaCommands:
     ``compile`` turns a C file into assembly ({input}, {output}, {opt}).
     ``assemble_link`` is a sequence of commands that turns a candidate .s plus
     the test driver source into a runnable binary ({candidate}, {test_src},
-    {output}, {tmpdir}, {data}, {python}, {opt}).
+    {output}, {tmpdir}, {data}, {python}, {opt}).  A step's placeholders
+    decide what its failure means: a step naming {candidate} is the
+    candidate's assemble error, one naming {output} its link error, and any
+    other step is an infrastructure fault.  So {candidate} gets a step of its
+    own, naming neither {test_src} nor {output}; ``parse_config`` enforces it.
     ``emulate`` runs the binary ({input}); a bare ``{input}`` means native
     execution.
     """
@@ -333,6 +333,13 @@ def parse_config(text: str, source_path: str = "") -> ToolchainConfig:
         assemble_link = tuple(
             line.strip() for line in al_raw.splitlines() if line.strip()
         )
+        for step in assemble_link:
+            if "{candidate}" in step and ("{test_src}" in step or "{output}" in step):
+                raise ConfigError(
+                    f"[{section}] assemble_link step names {{candidate}} together "
+                    f"with {{test_src}} or {{output}}; give the candidate a step "
+                    f"of its own: {step}"
+                )
         emulate = os.path.expandvars(cp.get(section, "emulate", fallback="")).strip()
         entries[isa] = IsaCommands(
             compile=compile_cmd, assemble_link=assemble_link, emulate=emulate

@@ -218,18 +218,6 @@ def score_syntactic(
 
 # --- functional execution ----------------------------------------------------
 
-_LINK_ERROR_HINTS = (
-    "undefined reference",
-    "undefined symbol",
-    "cannot find entry",
-    "duplicate symbol",
-    "in function `_start'",
-    "ld:",
-    "ld.lld:",
-    "collect2:",
-)
-
-
 def _signal_name(code: int) -> str:
     try:
         return signal_module.Signals(code).name
@@ -246,7 +234,8 @@ def run_functional(
 
     Candidate faults map to TestOutcome; broken infrastructure (missing tools,
     failing test-driver builds) raises ToolchainError instead so harness bugs
-    are never scored as translation failures.
+    are never scored as translation failures.  A failing build step's
+    placeholders alone decide which (see ``IsaCommands``).
     """
     if not pair.test_source_path:
         raise ValueError(f"pair {pair.pair_id} has no test program")
@@ -286,21 +275,13 @@ def run_functional(
             logs.append(scrub(f"$ {step}\n{proc.stdout}{proc.stderr}".rstrip(), td))
             if proc.returncode == 0:
                 continue
-            stderr = proc.stderr + proc.stdout
-            involves_candidate = "{candidate}" in step
-            produces_binary = "{output}" in step
-            if involves_candidate and produces_binary:
-                link_ish = any(h in stderr.lower() for h in _LINK_ERROR_HINTS)
-                status = (
-                    OutcomeStatus.LINK_ERROR if link_ish else OutcomeStatus.ASSEMBLE_ERROR
-                )
-                return TestOutcome(status), "\n".join(logs)
-            if involves_candidate:
+            if "{candidate}" in step:
                 return TestOutcome(OutcomeStatus.ASSEMBLE_ERROR), "\n".join(logs)
-            if produces_binary:
+            if "{output}" in step:
                 return TestOutcome(OutcomeStatus.LINK_ERROR), "\n".join(logs)
             raise ToolchainError(
-                f"test-driver build failed ({proc.returncode}): {stderr[:400]}",
+                f"test-driver build failed ({proc.returncode}): "
+                f"{(proc.stderr + proc.stdout)[:400]}",
                 command=step,
             )
 

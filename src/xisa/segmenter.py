@@ -4,8 +4,6 @@ Basic blocks are approximated by label-delimited regions of the flat text.
 Whole blocks are packed greedily into segments that respect the token budget;
 only a single block that alone exceeds the budget is split at instruction
 granularity, and every segment produced that way carries a violation flag.
-Segment sequences from the source and target sides align positionally by
-(function, index).
 """
 from __future__ import annotations
 
@@ -27,16 +25,6 @@ class Segment:
     token_count: int
     boundary_labels: tuple[str, str]
     budget_violation: bool = False
-
-
-@dataclass(frozen=True)
-class AlignedSegmentPair:
-    source_segment: Segment
-    target_segment: Segment
-
-    @property
-    def alignment_key(self) -> tuple[str, int]:
-        return (self.source_segment.function_name, self.source_segment.index)
 
 
 def segment_text(lines: tuple[Line, ...]) -> str:
@@ -102,37 +90,3 @@ def segment_unit(
             )
     return segments
 
-
-def align_pairs(
-    source_segments: list[Segment], target_segments: list[Segment]
-) -> tuple[list[AlignedSegmentPair], list[tuple[str, int, str]]]:
-    """Pair segments by (function_name, index).
-
-    Count mismatches are not fatal: the common prefix pairs up and the
-    unmatched tail is reported as (function, index, side) entries.
-    """
-    by_fn_source: dict[str, list[Segment]] = {}
-    for seg in source_segments:
-        by_fn_source.setdefault(seg.function_name, []).append(seg)
-    by_fn_target: dict[str, list[Segment]] = {}
-    for seg in target_segments:
-        by_fn_target.setdefault(seg.function_name, []).append(seg)
-
-    pairs: list[AlignedSegmentPair] = []
-    tail: list[tuple[str, int, str]] = []
-    for fn_name, src_list in by_fn_source.items():
-        tgt_list = by_fn_target.get(fn_name, [])
-        src_list = sorted(src_list, key=lambda s: s.index)
-        tgt_list = sorted(tgt_list, key=lambda s: s.index)
-        common = min(len(src_list), len(tgt_list))
-        for i in range(common):
-            pairs.append(AlignedSegmentPair(src_list[i], tgt_list[i]))
-        for seg in src_list[common:]:
-            tail.append((fn_name, seg.index, "source"))
-        for seg in tgt_list[common:]:
-            tail.append((fn_name, seg.index, "target"))
-    for fn_name, tgt_list in by_fn_target.items():
-        if fn_name not in by_fn_source:
-            for seg in sorted(tgt_list, key=lambda s: s.index):
-                tail.append((fn_name, seg.index, "target"))
-    return pairs, tail

@@ -62,6 +62,15 @@ def cross_gnu_cfg() -> ToolchainConfig:
     return load_config(CONFIGS / "cross-gnu.cfg")
 
 
+# both shipped profiles have an [x86_64] section that needs only gcc
+X86_PROFILES = ("clang-lite", "cross-gnu")
+
+
+@pytest.fixture(scope="session")
+def x86_profiles() -> dict[str, ToolchainConfig]:
+    return {name: load_config(CONFIGS / f"{name}.cfg") for name in X86_PROFILES}
+
+
 @pytest.fixture(scope="session")
 def arm_corpus_units():
     units = []

@@ -144,10 +144,12 @@ def test_criterion_4_ground_truth_replay(lite_cfg, _result_log):
 
 
 @needs_gcc
-def test_criterion_4_gcc_only_ground_truth_replay(lite_cfg, _result_log):
-    # x86_64 self-translation: the same harness path with only gcc installed
-    _replay_suite(lite_cfg, _result_log, IsaName.X86_64)
-    print(PASS.format(4, "x86_64 ground-truth replay scores 1.0/0/1.0 over the mini-suite with gcc only"))
+def test_criterion_4_gcc_only_ground_truth_replay(x86_profiles, _result_log):
+    # x86_64 self-translation: the same harness path with only gcc installed,
+    # under each shipped profile's [x86_64] section
+    for cfg in x86_profiles.values():
+        _replay_suite(cfg, _result_log, IsaName.X86_64)
+    print(PASS.format(4, "x86_64 ground-truth replay scores 1.0/0/1.0 over the mini-suite with gcc only, under both profiles"))
 
 
 @pytest.mark.skipif(not HAVE_CROSS_GNU, reason="GNU cross toolchain + qemu not installed")

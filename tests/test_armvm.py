@@ -646,3 +646,28 @@ def test_writeback_follows_the_transfer():
     # ldr r2, [r1, #-4]: pre-indexed without ! leaves the base alone
     cpu = step(0xE5112004, {1: stack + 4, 2: 9})
     assert (cpu.regs[1], cpu.regs[2]) == (stack + 4, 0)
+
+
+# words that name r15 where the ARM ARM makes the result UNPREDICTABLE;
+# each once wrote or read an unused register slot instead of pc
+R15_UNPREDICTABLE = {
+    "mul pc, r1, r2": 0xE00F0291,
+    "mul r0, pc, r2": 0xE000029F,
+    "mla r0, r1, r2, pc": 0xE020F291,
+    "umull r0, pc, r1, r2": 0xE08F0291,
+    "umull pc, r0, r1, r2": 0xE080F291,
+    "ldrh pc, [r1]": 0xE1D1F0B0,
+    "strh pc, [r1]": 0xE1C1F0B0,
+    "ldrh r0, [r1, pc]": 0xE19100BF,
+    "ldrh r0, [pc, #2]!": 0xE1FF00B2,
+    "ldr r0, [pc, #4]!": 0xE5BF0004,
+    "ldr r0, [pc], #4": 0xE49F0004,
+    "ldmia pc, {r0}": 0xE89F0001,
+    "movs r0, r1, lsl pc": reg_shift("lsl", 1, 15),
+}
+
+
+@pytest.mark.parametrize("word", R15_UNPREDICTABLE.values(), ids=R15_UNPREDICTABLE)
+def test_unpredictable_r15_forms_are_undefined(word):
+    with pytest.raises(armvm.UndefinedInstruction):
+        step(word, {1: 0x10000, 2: 2})

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import CONFIGS
 from xisa.core import (
     GenerationParams,
     IsaName,
@@ -19,21 +20,21 @@ def test_registry_has_four_isas():
 
 
 def test_armv5_register_table():
-    regs = set(get_isa(IsaName.ARMV5).register_names)
+    regs = get_isa(IsaName.ARMV5).registers
     for i in range(16):
         assert f"r{i}" in regs
-    assert {"fp", "sp", "lr", "pc"} <= regs
+    assert {"fp", "sp", "lr", "pc"} <= regs.keys()
 
 
 def test_x86_includes_subregister_aliases():
-    regs = set(get_isa(IsaName.X86_64).register_names)
+    regs = get_isa(IsaName.X86_64).registers
     assert "rax" in regs and "eax" in regs
     assert "al" in regs and "r8d" in regs
 
 
 def test_riscv_abi_aliasing():
-    regs = set(get_isa(IsaName.RISCV64).register_names)
-    assert "a0" in regs and "x10" in regs
+    regs = get_isa(IsaName.RISCV64).registers
+    assert regs["a0"] == regs["x10"] == "x10"
 
 
 def test_registry_is_pure():
@@ -50,7 +51,8 @@ def test_isa_is_hashable():
 
 def test_register_tables_duplicate_free():
     for isa in isa_registry():
-        assert len(set(isa.register_names)) == len(isa.register_names)
+        # a map holds each name once; every alias names a register of its own table
+        assert set(isa.registers.values()) <= set(isa.registers)
         assert isa.comment_leaders
 
 
@@ -115,6 +117,29 @@ def test_assemble_link_is_multiline(tmp_path):
     )
     cfg = parse_config(text)
     assert len(cfg.entries[IsaName.RISCV64].assemble_link) == 2
+
+
+@pytest.mark.parametrize("step", [
+    "gcc -static {candidate} {test_src} -o {output}",
+    "as {candidate} -o {output}",
+    "gcc -c {candidate} {test_src}",
+], ids=["test_src+output", "output", "test_src"])
+def test_candidate_step_names_no_other_input_or_output(step):
+    # a failing step is scored by its placeholders alone, so one that also
+    # builds the driver or the binary could not tell whose fault it was
+    text = MINIMAL + f"\n[riscv64]\nassemble_link =\n    {step}\n"
+    with pytest.raises(ConfigError, match=r"\[riscv64\].*\{candidate\}"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_profiles_load(path):
+    # every section, including those whose tools are not installed here
+    cfg = load_config(path)
+    for isa, cmds in cfg.entries.items():
+        if cmds.assemble_link:
+            assert sum("{candidate}" in step for step in cmds.assemble_link) == 1, isa
+            assert "{output}" in cmds.assemble_link[-1], isa
 
 
 def test_missing_command_named_in_error():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS, FIXTURES, needs_gcc, needs_lite
+from conftest import CONFIGS, FIXTURES, X86_PROFILES, needs_gcc, needs_lite
 from xisa.asmtext import parse_assembly
 from xisa.backends import Backend, Candidate, IdentityBackend, ReplayBackend
 from xisa.core import GenerationParams, IsaName, parse_config
@@ -437,17 +437,19 @@ def test_segfault_candidate_crashes_and_classifies(mini_pairs, lite_cfg):
     assert classify_error(outcome, logs, unit) is ErrorClass.ADDRESSING
 
 
-@needs_lite
-def test_missing_toolchain_is_loud_infrastructure_error(mini_pairs):
+@needs_gcc
+def test_missing_toolchain_is_loud_infrastructure_error(mini_pairs_x86):
     broken = parse_config(
-        "[armv5]\n"
-        "compile = clang -S {input} -o {output}\n"
+        "[x86_64]\n"
+        "compile = gcc -S {input} -o {output}\n"
         "assemble_link =\n"
-        "    xisa-no-such-assembler {candidate} -o {output}\n"
+        "    xisa-no-such-assembler -c {candidate} -o {tmpdir}/candidate.o\n"
+        "    gcc -c {test_src} -o {tmpdir}/test.o\n"
+        "    gcc {tmpdir}/candidate.o {tmpdir}/test.o -o {output}\n"
         "emulate = {input}\n"
     )
     with pytest.raises(ToolchainError, match="xisa-no-such-assembler"):
-        run_functional("mov r0, #0\n", mini_pairs[0], broken)
+        run_functional("\tret\n", mini_pairs_x86[0], broken)
 
 
 # --- suite evaluation -------------------------------------------------------------
@@ -627,40 +629,43 @@ def _x86_broken(pair: TranspilePair, kind: str) -> str:
 ])
 def test_one_broken_candidate_per_outcome_gcc_only(mini_pairs_x86, kind, expected):
     pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
-    shipped = (CONFIGS / "clang-lite.cfg").read_text(encoding="utf-8")
-    assert shipped.count("timeout_run = 10\n") == 1
-    cfg = parse_config(shipped.replace("timeout_run = 10\n", "timeout_run = 1\n"))
     candidate = _x86_broken(pair, kind)
-    outcome, logs = run_functional(candidate, pair, cfg)
-    assert outcome.describe() == expected, logs
-    error_class = classify_error(outcome, logs, parse_assembly(candidate, IsaName.X86_64))
-    # the other classes move with the control-flow-aware register profile
-    if kind == "null_load":
-        assert error_class is ErrorClass.ADDRESSING
+    for profile in X86_PROFILES:
+        shipped = (CONFIGS / f"{profile}.cfg").read_text(encoding="utf-8")
+        assert shipped.count("timeout_run = 10\n") == 1
+        cfg = parse_config(shipped.replace("timeout_run = 10\n", "timeout_run = 1\n"))
+        outcome, logs = run_functional(candidate, pair, cfg)
+        assert outcome.describe() == expected, (profile, logs)
+        error_class = classify_error(outcome, logs, parse_assembly(candidate, IsaName.X86_64))
+        # the other classes move with the control-flow-aware register profile
+        if kind == "null_load":
+            assert error_class is ErrorClass.ADDRESSING, profile
 
 
 @needs_gcc
-def test_link_error_records_are_deterministic_gcc_only(mini_pairs_x86, lite_cfg):
+def test_link_error_records_are_deterministic_gcc_only(mini_pairs_x86, x86_profiles):
     pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
     backend = FixedBeams([_x86_broken(pair, "renamed_global")])
-    records = []
-    for _ in range(2):
-        record = result_to_record(evaluate_pair(pair, backend, GenerationParams(), lite_cfg))
-        record.pop("latency_ms")
-        records.append(record)
-    assert records[0]["outcome"] == "link_error"
-    assert "sum_upto" in records[0]["logs"]
-    assert records[0] == records[1]
+    for profile, cfg in x86_profiles.items():
+        records = []
+        for _ in range(2):
+            record = result_to_record(evaluate_pair(pair, backend, GenerationParams(), cfg))
+            record.pop("latency_ms")
+            records.append(record)
+        assert records[0]["outcome"] == "link_error", profile
+        assert "sum_upto" in records[0]["logs"], profile
+        assert records[0] == records[1], profile
 
 
 @needs_gcc
-def test_broken_test_driver_is_toolchain_error_gcc_only(mini_pairs_x86, lite_cfg, tmp_path):
+def test_broken_test_driver_is_toolchain_error_gcc_only(mini_pairs_x86, x86_profiles, tmp_path):
     pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
     broken = tmp_path / "test.c"
     broken.write_text("int main(void) { return sum_upto(1) != 1 }\n")  # no ';'
     broken_pair = dataclasses.replace(pair, test_source_path=str(broken))
-    with pytest.raises(ToolchainError, match="test-driver build failed"):
-        run_functional(pair.target.normalized_text, broken_pair, lite_cfg)
+    for cfg in x86_profiles.values():
+        with pytest.raises(ToolchainError, match="test-driver build failed"):
+            run_functional(pair.target.normalized_text, broken_pair, cfg)
 
 
 @needs_lite

@@ -6,7 +6,6 @@ from xisa.asmtext import LineKind, parse_assembly
 from xisa.core import IsaName
 from xisa.segmenter import (
     END_MARKER,
-    align_pairs,
     segment_text,
     segment_unit,
 )
@@ -96,34 +95,6 @@ def test_segmentation_deterministic(arm_corpus_units):
     assert segment_unit(unit, BYTE_BASELINE, 128) == segment_unit(
         unit, BYTE_BASELINE, 128
     )
-
-
-def test_align_equal_shapes():
-    src = segment_unit(make_unit("\tmov r0, #1\n\tbx lr\n"), BYTE_BASELINE, 1024)
-    tgt = segment_unit(make_unit("\tmovl $1, %eax\n\tret\n"), BYTE_BASELINE, 1024)
-    pairs, tail = align_pairs(src, tgt)
-    assert len(pairs) == 1
-    assert tail == []
-    assert pairs[0].alignment_key == ("f", 0)
-
-
-def test_align_reports_unmatched_tail():
-    big = make_unit("\n".join(block_of(600) + block_of(600, ".L1") + block_of(600, ".L2")) + "\n")
-    small = make_unit("\n".join(block_of(600) + block_of(600, ".L1")) + "\n")
-    src = segment_unit(big, BYTE_BASELINE, budget=700)     # 3 segments
-    tgt = segment_unit(small, BYTE_BASELINE, budget=700)   # 2 segments
-    pairs, tail = align_pairs(src, tgt)
-    assert len(pairs) == 2
-    assert tail == [("f", 2, "source")]
-
-
-def test_align_function_missing_on_one_side():
-    src = segment_unit(make_unit("\tbx lr\n", name="g"), BYTE_BASELINE, 1024)
-    tgt = segment_unit(make_unit("\tbx lr\n", name="h"), BYTE_BASELINE, 1024)
-    pairs, tail = align_pairs(src, tgt)
-    assert pairs == []
-    assert ("g", 0, "source") in tail
-    assert ("h", 0, "target") in tail
 
 
 def test_segment_text_roundtrip():
