@@ -1,24 +1,8 @@
-"""Cross-ISA assembly transpilation harness."""
+"""Cross-ISA assembly transpilation harness.
 
-from .core import (
-    GenerationParams,
-    Isa,
-    IsaName,
-    ToolchainConfig,
-    get_isa,
-    isa_registry,
-    load_config,
-)
+Import the submodules themselves (``xisa.core``, ``xisa.armvm``, ...): the
+package imports nothing, so ``python -m xisa.armvm`` loads only the
+interpreter.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GenerationParams",
-    "Isa",
-    "IsaName",
-    "ToolchainConfig",
-    "get_isa",
-    "isa_registry",
-    "load_config",
-    "__version__",
-]

@@ -9,8 +9,16 @@ classify the outcome, never silently misexecutes.
 
 The decoder follows the ARM Architecture Reference Manual's pseudocode
 helpers, each written once: ConditionPassed (``_CONDITIONS``), DecodeImmShift
-and Shift_C (``Cpu._imm_shift``, ``Cpu._shift``) and AddWithCarry (the
-``_ARITHMETIC`` operand selectors in ``Cpu._data_processing``).
+and Shift_C (``_imm_shift``, ``_shift_c``) and AddWithCarry (the
+``_ARITHMETIC`` operand selectors in ``_data_processing``).
+
+It is a predecoder, QEMU's translation cache at instruction granularity:
+``decode(word, pc)`` does the field extraction, the class dispatch and every
+undefined/UNPREDICTABLE check once, and returns the word's handler with the
+fields it reads.  The decoded form is cached by address in ``Memory.code``
+from the word's second fetch on, and ``Memory.store``, which every store
+goes through, drops the entry of every word it writes, so code that patches
+itself or runs from the stack stays correct.
 
 Intended as the ``emulate`` command of toolchain profiles on machines without
 qemu-user; run as ``python -m xisa.armvm BINARY``.
@@ -18,6 +26,7 @@ qemu-user; run as ``python -m xisa.armvm BINARY``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import signal
 import struct
@@ -71,31 +80,63 @@ class GuestExit(Exception):
         self.code = code
 
 
+# an instruction as ``decode`` returns it: (handler, *fields)
+Decoded = tuple
+
+# little-endian unsigned formats and value masks, by transfer size 1, 2 or 4
+_FORMATS = (None, struct.Struct("<B"), struct.Struct("<H"), None, struct.Struct("<I"))
+_SIZE_MASKS = (0, 0xFF, 0xFFFF, 0, MASK32)
+
+
 class Memory:
-    """Two flat regions: the loaded image and the stack."""
+    """Two flat regions, the loaded image and the stack, and ``code``: the
+    decoded forms of their words, by word address."""
 
     def __init__(self, image_base: int, image: bytearray):
         self.image_base = image_base
         self.image = image
         self.stack_base = STACK_TOP - STACK_SIZE
         self.stack = bytearray(STACK_SIZE)
+        self.code: dict[int, Decoded] = {}
 
     def _locate(self, addr: int, size: int) -> tuple[bytearray, int]:
-        if self.image_base <= addr and addr + size <= self.image_base + len(self.image):
-            return self.image, addr - self.image_base
-        if self.stack_base <= addr and addr + size <= STACK_TOP:
-            return self.stack, addr - self.stack_base
+        off = addr - self.image_base
+        if 0 <= off and off + size <= len(self.image):
+            return self.image, off
+        off = addr - self.stack_base
+        if 0 <= off and off + size <= STACK_SIZE:
+            return self.stack, off
         raise MemoryFault(addr)
 
+    # load and store inline _locate: they are the interpreter's hot path
     def load(self, addr: int, size: int) -> int:
-        buf, off = self._locate(addr, size)
-        return int.from_bytes(buf[off : off + size], "little")
+        off = addr - self.image_base
+        if 0 <= off and off + size <= len(self.image):
+            return _FORMATS[size].unpack_from(self.image, off)[0]
+        off = addr - self.stack_base
+        if 0 <= off and off + size <= STACK_SIZE:
+            return _FORMATS[size].unpack_from(self.stack, off)[0]
+        raise MemoryFault(addr)
 
     def store(self, addr: int, size: int, value: int) -> None:
-        buf, off = self._locate(addr, size)
-        buf[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-            size, "little"
-        )
+        """Write the low ``size`` bytes of ``value``; every store form comes
+        here, so this is where a written word's cached decoded form is
+        dropped."""
+        value &= _SIZE_MASKS[size]
+        off = addr - self.image_base
+        if 0 <= off and off + size <= len(self.image):
+            _FORMATS[size].pack_into(self.image, off, value)
+        else:
+            off = addr - self.stack_base
+            if off < 0 or off + size > STACK_SIZE:
+                raise MemoryFault(addr)
+            _FORMATS[size].pack_into(self.stack, off, value)
+        code = self.code
+        if code:
+            first, last = addr & ~3, (addr + size - 1) & ~3
+            code.pop(first, None)
+            if last != first:  # an unaligned store straddles two words
+                code.pop(last, None)
 
     def bytes_at(self, addr: int, size: int) -> bytes:
         buf, off = self._locate(addr, size)
@@ -139,7 +180,6 @@ _CONDITIONS = (
     lambda cpu: cpu.c and not cpu.z,                # hi / ls
     lambda cpu: cpu.n == cpu.v,                     # ge / lt
     lambda cpu: not cpu.z and cpu.n == cpu.v,       # gt / le
-    lambda cpu: True,                               # al (step skips the test)
 )
 
 # logical opcodes: C comes from the shifter, V is left alone
@@ -167,6 +207,369 @@ _ARITHMETIC = {
     0xB: lambda a, b, c: (a, b, 0),             # CMN
 }
 
+# extra loads by the sh field: (size, sign bit; 0 zero-extends)
+_EXTRA_LOADS = {1: (2, 0), 2: (1, 0x80), 3: (2, 0x8000)}  # LDRH, LDRSB, LDRSH
+
+
+def _shift_c(value: int, stype: int, amount: int, carry: bool) -> tuple[int, bool]:
+    """Shift_C: ``value`` shifted by ``amount`` (0-255), and the carry out;
+    ``carry`` is C, which amount 0 keeps and RRX shifts in."""
+    if amount == 0:
+        return value, carry
+    if stype == 0:  # LSL
+        wide = value << amount
+        return wide & MASK32, bool(wide >> 32 & 1)
+    if stype == 1:  # LSR
+        return value >> amount, bool(value >> (amount - 1) & 1)
+    if stype == 2:  # ASR
+        signed = value - (value >> 31 << 32)
+        return signed >> amount & MASK32, bool(signed >> (amount - 1) & 1)
+    if stype == 3:  # ROR
+        amount &= 31
+        out = (value >> amount | value << (32 - amount)) & MASK32
+        return out, bool(out >> 31)
+    return carry << 31 | value >> 1, bool(value & 1)  # RRX
+
+
+def _imm_shift(word: int) -> tuple[int, int]:
+    """DecodeImmShift: the (shift type, amount) of an immediate shift."""
+    stype, amount = (word >> 5) & 3, (word >> 7) & 0x1F
+    if amount == 0 and stype:  # LSR/ASR #0 mean #32; ROR #0 is RRX
+        stype, amount = (RRX, 1) if stype == 3 else (stype, 32)
+    return stype, amount
+
+
+def _decode_operand2(word: int) -> tuple | None:
+    """The shifter operand's fields ``(rm, rs, stype, amount, value,
+    carry)``: a register ``rm`` shifted by ``stype`` and by ``amount`` or by
+    the low byte of ``rs``, or (``rm`` None) the immediate ``value`` with its
+    carry out, None for C.  None where the operand is UNPREDICTABLE."""
+    if word & (1 << 25):  # rotated immediate (ARMExpandImm_C)
+        rotation = (word >> 7) & 0x1E
+        if not rotation:
+            return None, None, 0, 0, word & 0xFF, None
+        value, carry = _shift_c(word & 0xFF, 3, rotation, False)
+        return None, None, 0, 0, value, carry
+    rm = word & 0xF
+    if word & (1 << 4):  # shift by register
+        rs = (word >> 8) & 0xF
+        if rs == 15:  # UNPREDICTABLE
+            return None
+        return rm, rs, (word >> 5) & 3, 0, 0, None
+    return (rm, None, *_imm_shift(word), 0, None)
+
+
+# --- decode: one word into its decoded form ---------------------------------
+#
+# A decoded instruction is a tuple: its handler, then the fields the handler
+# reads, extracted once.  ``entry[0](cpu, entry)`` executes the instruction
+# and returns the next pc.  Each handler below follows the decoder that
+# builds its tuple.
+
+
+def decode(word: int, pc: int) -> Decoded:
+    """The decoded form of ``word`` at address ``pc``.  A word outside the
+    subset decodes to a handler that raises, so it faults only when it
+    executes and its condition passes."""
+    cond = word >> 28
+    if cond == 15:  # the unconditional space
+        return (_undefined, word, pc)
+    body = _decode_class(word, pc)
+    if cond == 14:  # al always passes
+        return body
+    return (_conditional, _CONDITIONS[cond >> 1], cond & 1, (pc + 4) & MASK32, body)
+
+
+def _conditional(cpu: Cpu, e: Decoded) -> int:
+    _, test, skip_when, nxt, body = e
+    if test(cpu) == skip_when:
+        return nxt
+    return body[0](cpu, body)
+
+
+def _undefined(cpu: Cpu, e: Decoded) -> int:
+    raise UndefinedInstruction(e[1], e[2])
+
+
+def _decode_class(word: int, pc: int) -> Decoded:
+    cls = (word >> 25) & 7
+    pc8, nxt = (pc + 8) & MASK32, (pc + 4) & MASK32
+    if cls < 2:
+        if (word & 0x0E000090) == 0x00000090:  # bits 7 and 4 set
+            if (word & 0x0FC000F0) == 0x00000090:
+                return _decode_multiply(word, pc)
+            if (word & 0x0F8000F0) == 0x00800090:
+                return _decode_multiply_long(word, pc)
+            return _decode_extra_load_store(word, pc)
+        if (word & 0x0FFFFFD0) == 0x012FFF10:  # BX, BLX register
+            return (_branch_exchange, word & 0xF, word & (1 << 5), pc8, nxt, word, pc)
+        if (word & 0x01900000) == 0x01000000:
+            # TST/TEQ/CMP/CMN without S: MRS, MSR, CLZ, BKPT, saturating
+            # and DSP arithmetic, none of them supported
+            return (_undefined, word, pc)
+        return _decode_data_processing(word, pc)
+    if cls in (2, 3):
+        return _decode_load_store(word, pc)
+    if cls == 4:
+        return _decode_block_transfer(word, pc)
+    if cls == 5:
+        offset = word & 0x00FFFFFF
+        if offset & 0x00800000:
+            offset -= 0x01000000
+        target = (pc8 + (offset << 2)) & MASK32
+        if word & (1 << 24):  # BL
+            return (_branch_link, target, nxt)
+        return (_branch, target)
+    if cls == 7 and (word & 0x0F000000) == 0x0F000000:
+        return (_syscall, nxt)
+    return (_undefined, word, pc)
+
+
+def _decode_data_processing(word: int, pc: int) -> Decoded:
+    operand = _decode_operand2(word)
+    if operand is None:
+        return (_undefined, word, pc)
+    opcode = (word >> 21) & 0xF
+    rd = None if 8 <= opcode <= 11 else (word >> 12) & 0xF  # TST/TEQ/CMP/CMN
+    return (_data_processing, (word >> 16) & 0xF, rd, _LOGICAL.get(opcode),
+            _ARITHMETIC.get(opcode), word & (1 << 20), *operand,
+            (pc + 8) & MASK32, (pc + 4) & MASK32, word, pc)
+
+
+def _data_processing(cpu: Cpu, e: Decoded) -> int:
+    (_, rn, rd, logical, arithmetic, set_flags, rm, rs, stype, amount, b,
+     shifter_carry, pc8, nxt, word, pc) = e
+    regs = cpu.regs
+    if rm is None:  # an immediate
+        if shifter_carry is None:
+            shifter_carry = cpu.c
+    else:
+        b = regs[rm] if rm != 15 else pc8
+        if rs is not None:
+            amount = regs[rs] & 0xFF
+        if amount:
+            b, shifter_carry = _shift_c(b, stype, amount, cpu.c)
+        else:  # Shift_C by 0 keeps the value and C
+            shifter_carry = cpu.c
+    a = regs[rn] if rn != 15 else pc8
+    if logical:
+        result = logical(a, b)
+        if set_flags:  # C from the shifter, V left alone
+            cpu.n, cpu.z, cpu.c = bool(result >> 31), result == 0, shifter_carry
+    else:  # AddWithCarry
+        x, y, carry_in = arithmetic(a, b, cpu.c)
+        total = x + y + carry_in
+        result = total & MASK32
+        if set_flags:
+            cpu.n, cpu.z, cpu.c = bool(result >> 31), result == 0, total > MASK32
+            cpu.v = bool((x ^ result) & (y ^ result) & (1 << 31))
+    if rd is None:  # TST/TEQ/CMP/CMN write no register
+        return nxt
+    if rd == 15:
+        if set_flags:
+            raise UndefinedInstruction(word, pc)
+        return result & ~1
+    regs[rd] = result
+    return nxt
+
+
+def _decode_multiply(word: int, pc: int) -> Decoded:
+    accumulate = bool(word & (1 << 21))
+    rd = (word >> 16) & 0xF
+    rn = (word >> 12) & 0xF
+    rs = (word >> 8) & 0xF
+    rm = word & 0xF
+    if 15 in (rd, rs, rm) or accumulate and rn == 15:  # UNPREDICTABLE
+        return (_undefined, word, pc)
+    return (_multiply, rd, rn, rs, rm, accumulate, word & (1 << 20), (pc + 4) & MASK32)
+
+
+def _multiply(cpu: Cpu, e: Decoded) -> int:
+    _, rd, rn, rs, rm, accumulate, set_flags, nxt = e
+    regs = cpu.regs
+    result = regs[rm] * regs[rs]
+    if accumulate:
+        result += regs[rn]
+    result &= MASK32
+    regs[rd] = result
+    if set_flags:
+        cpu.n = bool(result >> 31)
+        cpu.z = result == 0
+    return nxt
+
+
+def _decode_multiply_long(word: int, pc: int) -> Decoded:
+    rdhi = (word >> 16) & 0xF
+    rdlo = (word >> 12) & 0xF
+    rs = (word >> 8) & 0xF
+    rm = word & 0xF
+    if 15 in (rdhi, rdlo, rs, rm):  # UNPREDICTABLE
+        return (_undefined, word, pc)
+    return (_multiply_long, rdhi, rdlo, rs, rm, word & (1 << 22), word & (1 << 21),
+            word & (1 << 20), (pc + 4) & MASK32)
+
+
+def _multiply_long(cpu: Cpu, e: Decoded) -> int:
+    _, rdhi, rdlo, rs, rm, signed, accumulate, set_flags, nxt = e
+    regs = cpu.regs
+    a, b = regs[rm], regs[rs]
+    if signed:
+        a, b = a - (a >> 31 << 32), b - (b >> 31 << 32)
+    product = a * b
+    if accumulate:
+        product += (regs[rdhi] << 32) | regs[rdlo]
+    product &= (1 << 64) - 1
+    regs[rdlo] = product & MASK32
+    regs[rdhi] = (product >> 32) & MASK32
+    if set_flags:
+        cpu.n = bool(product >> 63)
+        cpu.z = product == 0
+    return nxt
+
+
+def _transfer_entry(word: int, pc: int, rm: int | None, stype: int, amount: int,
+                    offset: int, size: int, sign: int) -> Decoded:
+    """A single load/store's tuple: the offset is ``rm`` shifted by ``stype``
+    and ``amount`` or, with ``rm`` None, the immediate ``offset``; a load of
+    ``size`` bytes sign-extends from bit ``sign`` (0: zero-extends)."""
+    rn = (word >> 16) & 0xF
+    pre = word & (1 << 24)
+    writeback = not pre or word & (1 << 21)  # post-indexed always writes back
+    if writeback and rn == 15:  # UNPREDICTABLE
+        return (_undefined, word, pc)
+    align = 3 if size == 4 else 0  # word transfers fault when unaligned
+    return (_transfer, rn, (word >> 12) & 0xF, rm, stype, amount, offset,
+            word & (1 << 23), pre, writeback, word & (1 << 20), size, sign, align,
+            (pc + 8) & MASK32, (pc + 4) & MASK32, word, pc)
+
+
+def _decode_load_store(word: int, pc: int) -> Decoded:
+    size = 1 if word & (1 << 22) else 4
+    if not word & (1 << 25):  # immediate offset
+        return _transfer_entry(word, pc, None, 0, 0, word & 0xFFF, size, 0)
+    if word & (1 << 4):
+        return (_undefined, word, pc)
+    return _transfer_entry(word, pc, word & 0xF, *_imm_shift(word), 0, size, 0)
+
+
+def _decode_extra_load_store(word: int, pc: int) -> Decoded:
+    rd, rm = (word >> 12) & 0xF, word & 0xF
+    immediate = word & (1 << 22)
+    sh = (word >> 5) & 3
+    # rd or a register offset in r15: UNPREDICTABLE; only LDRH, LDRSB,
+    # LDRSH and STRH exist here
+    if (rd == 15 or not immediate and rm == 15
+            or (sh not in _EXTRA_LOADS if word & (1 << 20) else sh != 1)):
+        return (_undefined, word, pc)
+    size, sign = _EXTRA_LOADS[sh]
+    if immediate:
+        return _transfer_entry(word, pc, None, 0, 0, ((word >> 4) & 0xF0) | rm, size, sign)
+    return _transfer_entry(word, pc, rm, 0, 0, 0, size, sign)
+
+
+def _transfer(cpu: Cpu, e: Decoded) -> int:
+    (_, rn, rd, rm, stype, amount, offset, up, pre, writeback, load, size, sign,
+     align, pc8, nxt, word, pc) = e
+    regs = cpu.regs
+    base = regs[rn] if rn != 15 else pc8
+    if rm is not None:
+        offset = regs[rm] if rm != 15 else pc8
+        if amount:
+            offset = _shift_c(offset, stype, amount, cpu.c)[0]
+    moved = (base + offset if up else base - offset) & MASK32
+    addr = moved if pre else base
+    if addr & align:
+        raise MemoryFault(addr)
+    new_pc = nxt
+    if load:
+        value = cpu.mem.load(addr, size)
+        if rd == 15:
+            if value & 1:
+                raise UndefinedInstruction(word, pc)
+            new_pc = value & ~1
+        else:
+            regs[rd] = (value - (sign << 1)) & MASK32 if value & sign else value
+    else:
+        cpu.mem.store(addr, size, regs[rd] if rd != 15 else pc8)
+    if writeback:
+        regs[rn] = moved
+    return new_pc
+
+
+def _decode_block_transfer(word: int, pc: int) -> Decoded:
+    pre = bool(word & (1 << 24))
+    rn = (word >> 16) & 0xF
+    # S bit: user-mode banked transfer; base r15: UNPREDICTABLE
+    if word & (1 << 22) or rn == 15:
+        return (_undefined, word, pc)
+    reglist = tuple(i for i in range(16) if word >> i & 1)
+    span = 4 * len(reglist)
+    if word & (1 << 23):  # up
+        lowest, final = (4 if pre else 0), span
+    else:
+        lowest, final = -span + (0 if pre else 4), -span
+    return (_block_transfer, rn, reglist, lowest, final, word & (1 << 21),
+            word & (1 << 20), (pc + 8) & MASK32, (pc + 4) & MASK32, word, pc)
+
+
+def _block_transfer(cpu: Cpu, e: Decoded) -> int:
+    _, rn, reglist, lowest, final, writeback, load, pc8, nxt, word, pc = e
+    regs, mem = cpu.regs, cpu.mem
+    base = regs[rn]
+    new_pc = nxt
+    addr = (base + lowest) & MASK32
+    for i in reglist:
+        if load:
+            value = mem.load(addr, 4)
+            if i == 15:
+                if value & 1:
+                    raise UndefinedInstruction(word, pc)
+                new_pc = value & ~1
+            else:
+                regs[i] = value
+        else:
+            mem.store(addr, 4, regs[i] if i != 15 else pc8)
+        addr = (addr + 4) & MASK32
+    if writeback:
+        regs[rn] = (base + final) & MASK32
+    return new_pc
+
+
+def _branch(cpu: Cpu, e: Decoded) -> int:
+    return e[1]
+
+
+def _branch_link(cpu: Cpu, e: Decoded) -> int:
+    _, target, ret = e
+    cpu.regs[14] = ret
+    return target
+
+
+def _branch_exchange(cpu: Cpu, e: Decoded) -> int:
+    _, rm, link, pc8, ret, word, pc = e
+    target = cpu.regs[rm] if rm != 15 else pc8
+    if target & 1:
+        raise UndefinedInstruction(word, pc)  # no Thumb support
+    if link:
+        cpu.regs[14] = ret
+    return target & ~1
+
+
+def _syscall(cpu: Cpu, e: Decoded) -> int:
+    regs = cpu.regs
+    number = regs[7]
+    if number in (1, 248):  # exit, exit_group
+        raise GuestExit(regs[0] & 0xFF)
+    if number == 4:  # write
+        fd, buf, length = regs[0], regs[1], regs[2]
+        if fd not in (1, 2):
+            raise UnsupportedSyscall(number)
+        data = cpu.mem.bytes_at(buf, length)
+        os.write(fd, data)
+        regs[0] = length
+        return e[1]
+    raise UnsupportedSyscall(number)
+
 
 class Cpu:
     def __init__(self, mem: Memory, entry: int):
@@ -178,299 +581,27 @@ class Cpu:
         # empty argc/argv block, matching a bare kernel process start
         mem.store(self.regs[13], 4, 0)
         self.steps = 0
+        self._fetched: set[int] = set()  # addresses fetched once, not cached
 
-    # --- register access (r15 reads as current pc + 8) ----------------------
-
-    def rread(self, i: int) -> int:
-        if i == 15:
-            return (self.pc + 8) & MASK32
-        return self.regs[i]
-
-    # --- shifter operand ----------------------------------------------------
-
-    def _shift(self, value: int, stype: int, amount: int) -> tuple[int, bool]:
-        """Shift_C: ``value`` shifted by ``amount`` (0-255), and the carry out."""
-        if amount == 0:
-            return value, self.c
-        if stype == 0:  # LSL
-            wide = value << amount
-            return wide & MASK32, bool(wide >> 32 & 1)
-        if stype == 1:  # LSR
-            return value >> amount, bool(value >> (amount - 1) & 1)
-        if stype == 2:  # ASR
-            signed = value - (value >> 31 << 32)
-            return signed >> amount & MASK32, bool(signed >> (amount - 1) & 1)
-        if stype == 3:  # ROR
-            amount &= 31
-            out = (value >> amount | value << (32 - amount)) & MASK32
-            return out, bool(out >> 31)
-        return self.c << 31 | value >> 1, bool(value & 1)  # RRX
-
-    def _imm_shift(self, word: int) -> tuple[int, bool]:
-        """Rm shifted by an immediate (DecodeImmShift, then Shift_C)."""
-        stype, amount = (word >> 5) & 3, (word >> 7) & 0x1F
-        if amount == 0 and stype:  # LSR/ASR #0 mean #32; ROR #0 is RRX
-            stype, amount = (RRX, 1) if stype == 3 else (stype, 32)
-        return self._shift(self.rread(word & 0xF), stype, amount)
-
-    def operand2(self, word: int) -> tuple[int, bool]:
-        if word & (1 << 25):  # rotated immediate (ARMExpandImm_C)
-            return self._shift(word & 0xFF, 3, (word >> 7) & 0x1E)
-        if word & (1 << 4):  # shift by register
-            rs = (word >> 8) & 0xF
-            if rs == 15:  # UNPREDICTABLE
-                raise UndefinedInstruction(word, self.pc)
-            amount = self.regs[rs] & 0xFF
-            return self._shift(self.rread(word & 0xF), (word >> 5) & 3, amount)
-        return self._imm_shift(word)
-
-    # --- instruction classes --------------------------------------------------
-
-    def _data_processing(self, word: int) -> int | None:
-        opcode = (word >> 21) & 0xF
-        set_flags = word & (1 << 20)  # always set for TST/TEQ/CMP/CMN
-        b, shifter_carry = self.operand2(word)
-        a = self.rread((word >> 16) & 0xF)
-        logical = _LOGICAL.get(opcode)
-        if logical:
-            result = logical(a, b)
-            carry, overflow = shifter_carry, self.v
-        else:  # AddWithCarry
-            x, y, carry_in = _ARITHMETIC[opcode](a, b, self.c)
-            total = x + y + carry_in
-            result = total & MASK32
-            carry = total > MASK32
-            overflow = bool((x ^ result) & (y ^ result) & (1 << 31))
-        if set_flags:
-            self.n, self.z, self.c, self.v = bool(result >> 31), result == 0, carry, overflow
-        if 8 <= opcode <= 11:  # TST/TEQ/CMP/CMN write no register
-            return None
-        rd = (word >> 12) & 0xF
-        if rd == 15:
-            if set_flags:
-                raise UndefinedInstruction(word, self.pc)
-            return result & ~1
-        self.regs[rd] = result
-        return None
-
-    def _multiply(self, word: int) -> None:
-        accumulate = bool(word & (1 << 21))
-        set_flags = bool(word & (1 << 20))
-        rd = (word >> 16) & 0xF
-        rn = (word >> 12) & 0xF
-        rs = (word >> 8) & 0xF
-        rm = word & 0xF
-        if 15 in (rd, rs, rm) or accumulate and rn == 15:  # UNPREDICTABLE
-            raise UndefinedInstruction(word, self.pc)
-        result = self.regs[rm] * self.regs[rs]
-        if accumulate:
-            result += self.regs[rn]
-        result &= MASK32
-        self.regs[rd] = result
-        if set_flags:
-            self.n = bool(result >> 31)
-            self.z = result == 0
-
-    def _multiply_long(self, word: int) -> None:
-        signed = bool(word & (1 << 22))
-        accumulate = bool(word & (1 << 21))
-        set_flags = bool(word & (1 << 20))
-        rdhi = (word >> 16) & 0xF
-        rdlo = (word >> 12) & 0xF
-        rs = (word >> 8) & 0xF
-        rm = word & 0xF
-        if 15 in (rdhi, rdlo, rs, rm):  # UNPREDICTABLE
-            raise UndefinedInstruction(word, self.pc)
-        a, b = self.regs[rm], self.regs[rs]
-        if signed:
-            a, b = a - (a >> 31 << 32), b - (b >> 31 << 32)
-        product = a * b
-        if accumulate:
-            product += (self.regs[rdhi] << 32) | self.regs[rdlo]
-        product &= (1 << 64) - 1
-        self.regs[rdlo] = product & MASK32
-        self.regs[rdhi] = (product >> 32) & MASK32
-        if set_flags:
-            self.n = bool(product >> 63)
-            self.z = product == 0
-
-    def _address(self, word: int, offset: int) -> tuple[int, int | None]:
-        """The transfer address of a load/store, and the base to write back
-        after the transfer (None: no writeback)."""
-        rn = (word >> 16) & 0xF
-        base = self.rread(rn)
-        moved = (base + offset if word & (1 << 23) else base - offset) & MASK32
-        if not word & (1 << 24):  # post-indexed: always writes back
-            addr, writeback = base, moved
-        else:
-            addr, writeback = moved, moved if word & (1 << 21) else None
-        if writeback is not None and rn == 15:  # UNPREDICTABLE
-            raise UndefinedInstruction(word, self.pc)
-        return addr, writeback
-
-    def _load_store(self, word: int) -> int | None:
-        byte = bool(word & (1 << 22))
-        rd = (word >> 12) & 0xF
-        if word & (1 << 25):
-            if word & (1 << 4):
-                raise UndefinedInstruction(word, self.pc)
-            offset = self._imm_shift(word)[0]
-        else:
-            offset = word & 0xFFF
-        addr, writeback = self._address(word, offset)
-        size = 1 if byte else 4
-        if not byte and addr & 3:
-            raise MemoryFault(addr)
-        new_pc: int | None = None
-        if word & (1 << 20):  # load
-            value = self.mem.load(addr, size)
-            if rd == 15:
-                if value & 1:
-                    raise UndefinedInstruction(word, self.pc)
-                new_pc = value & ~1
-            else:
-                self.regs[rd] = value
-        else:
-            self.mem.store(addr, size, self.rread(rd))
-        if writeback is not None:
-            self.regs[(word >> 16) & 0xF] = writeback
-        return new_pc
-
-    def _extra_load_store(self, word: int) -> None:
-        rd = (word >> 12) & 0xF
-        sh = (word >> 5) & 3
-        if rd == 15 or not word & (1 << 22) and word & 0xF == 15:  # UNPREDICTABLE
-            raise UndefinedInstruction(word, self.pc)
-        if word & (1 << 22):  # immediate offset
-            offset = ((word >> 4) & 0xF0) | (word & 0xF)
-        else:
-            offset = self.regs[word & 0xF]
-        addr, writeback = self._address(word, offset)
-        if word & (1 << 20):  # load
-            if sh == 1:  # LDRH
-                self.regs[rd] = self.mem.load(addr, 2)
-            elif sh == 2:  # LDRSB
-                v = self.mem.load(addr, 1)
-                self.regs[rd] = (v - 0x100 if v & 0x80 else v) & MASK32
-            elif sh == 3:  # LDRSH
-                v = self.mem.load(addr, 2)
-                self.regs[rd] = (v - 0x10000 if v & 0x8000 else v) & MASK32
-            else:
-                raise UndefinedInstruction(word, self.pc)
-        else:
-            if sh != 1:  # only STRH exists here
-                raise UndefinedInstruction(word, self.pc)
-            self.mem.store(addr, 2, self.rread(rd))
-        if writeback is not None:
-            self.regs[(word >> 16) & 0xF] = writeback
-
-    def _block_transfer(self, word: int) -> int | None:
-        pre = bool(word & (1 << 24))
-        up = bool(word & (1 << 23))
-        if word & (1 << 22):  # S bit: user-mode banked transfer
-            raise UndefinedInstruction(word, self.pc)
-        writeback = bool(word & (1 << 21))
-        load = bool(word & (1 << 20))
-        rn = (word >> 16) & 0xF
-        if rn == 15:  # UNPREDICTABLE
-            raise UndefinedInstruction(word, self.pc)
-        reglist = word & 0xFFFF
-        count = bin(reglist).count("1")
-        base = self.regs[rn]
-        if up:
-            lowest = base + (4 if pre else 0)
-            final = base + 4 * count
-        else:
-            lowest = base - 4 * count + (0 if pre else 4)
-            final = base - 4 * count
-        new_pc: int | None = None
-        addr = lowest & MASK32
-        for i in range(16):
-            if not (reglist >> i) & 1:
-                continue
-            if load:
-                value = self.mem.load(addr, 4)
-                if i == 15:
-                    if value & 1:
-                        raise UndefinedInstruction(word, self.pc)
-                    new_pc = value & ~1
-                else:
-                    self.regs[i] = value
-            else:
-                self.mem.store(addr, 4, self.rread(i))
-            addr = (addr + 4) & MASK32
-        if writeback:
-            self.regs[rn] = final & MASK32
-        return new_pc
-
-    def _syscall(self) -> None:
-        number = self.regs[7]
-        if number in (1, 248):  # exit, exit_group
-            raise GuestExit(self.regs[0] & 0xFF)
-        if number == 4:  # write
-            fd, buf, length = self.regs[0], self.regs[1], self.regs[2]
-            if fd not in (1, 2):
-                raise UnsupportedSyscall(number)
-            data = self.mem.bytes_at(buf, length)
-            os.write(fd, data)
-            self.regs[0] = length
-            return
-        raise UnsupportedSyscall(number)
-
-    # --- main loop ------------------------------------------------------------
-
-    def step(self) -> None:
-        pc = self.pc
+    def fetch(self, pc: int) -> Decoded:
+        """Decode the word at ``pc``, which has no cached entry.  The entry
+        is cached from the word's second fetch on: code that runs once is
+        decoded once and not kept."""
         if pc & 3:
             raise MemoryFault(pc)
-        word = self.mem.load(pc, 4)
-        self.steps += 1
-        cond = word >> 28
-        if cond != 14:  # al always passes
-            if cond == 15:  # the unconditional space
-                raise UndefinedInstruction(word, pc)
-            if _CONDITIONS[cond >> 1](self) == (cond & 1):
-                self.pc = (pc + 4) & MASK32
-                return
-        cls = (word >> 25) & 7
-        new_pc: int | None = None
-        if cls < 2:
-            if (word & 0x0E000090) == 0x00000090:  # bits 7 and 4 set
-                if (word & 0x0FC000F0) == 0x00000090:
-                    self._multiply(word)
-                elif (word & 0x0F8000F0) == 0x00800090:
-                    self._multiply_long(word)
-                else:
-                    self._extra_load_store(word)
-            elif (word & 0x0FFFFFD0) == 0x012FFF10:  # BX, BLX register
-                target = self.rread(word & 0xF)
-                if target & 1:
-                    raise UndefinedInstruction(word, pc)  # no Thumb support
-                if word & (1 << 5):
-                    self.regs[14] = (pc + 4) & MASK32
-                new_pc = target & ~1
-            elif (word & 0x01900000) == 0x01000000:
-                # TST/TEQ/CMP/CMN without S: MRS, MSR, CLZ, BKPT, saturating
-                # and DSP arithmetic, none of them supported
-                raise UndefinedInstruction(word, pc)
-            else:
-                new_pc = self._data_processing(word)
-        elif cls in (2, 3):
-            new_pc = self._load_store(word)
-        elif cls == 4:
-            new_pc = self._block_transfer(word)
-        elif cls == 5:
-            offset = word & 0x00FFFFFF
-            if offset & 0x00800000:
-                offset -= 0x01000000
-            if word & (1 << 24):  # BL
-                self.regs[14] = (pc + 4) & MASK32
-            new_pc = (pc + 8 + (offset << 2)) & MASK32
-        elif cls == 7 and (word & 0x0F000000) == 0x0F000000:
-            self._syscall()
+        decoded = decode(self.mem.load(pc, 4), pc)
+        if pc in self._fetched:
+            self.mem.code[pc] = decoded
         else:
-            raise UndefinedInstruction(word, pc)
-        self.pc = (pc + 4) & MASK32 if new_pc is None else new_pc
+            self._fetched.add(pc)
+        return decoded
+
+    def step(self) -> None:
+        """Execute one instruction, fetched as ``run`` fetches it."""
+        pc = self.pc
+        decoded = self.mem.code.get(pc) or self.fetch(pc)
+        self.steps += 1
+        self.pc = decoded[0](self, decoded)
 
 
 def run(path: str, max_steps: int = 0) -> int:
@@ -479,11 +610,16 @@ def run(path: str, max_steps: int = 0) -> int:
     """
     mem, entry = load_elf(path)
     cpu = Cpu(mem, entry)
+    cached, fetch = mem.code.get, cpu.fetch
+    pc = cpu.pc
+    ticks = itertools.repeat(None)  # one per step
+    if max_steps:  # a negative budget, like 1, stops after one step
+        ticks = itertools.repeat(None, max(max_steps, 1))
     try:
-        while True:
-            cpu.step()
-            if max_steps and cpu.steps >= max_steps:
-                raise BudgetExhausted(max_steps)
+        for _ in ticks:
+            decoded = cached(pc) or fetch(pc)
+            pc = decoded[0](cpu, decoded)
+        raise BudgetExhausted(max_steps)
     except GuestExit as exit_info:
         return exit_info.code
     except GuestFault as fault:

@@ -16,11 +16,10 @@ yield equal candidate text.
 """
 from __future__ import annotations
 
+import json
 import threading
 import time
 from dataclasses import dataclass, field
-
-import requests
 
 from .asmtext import AssemblyUnit, LineKind, Operand, OperandKind, parse_assembly
 from .core import DEFAULT_PROMPT_PREAMBLE, GenerationParams, IsaName
@@ -479,23 +478,38 @@ class RemoteBackend(Backend):
             "temperature": 1.0 if req.params.sampling_enabled else 0.0,
             "n": req.params.num_beams,
         }
+        # imported here: only remote runs pay for the HTTP client
+        import urllib.error
+        import urllib.request
+
         url = f"{self.endpoint}/v1/completions"
+        data = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
+            request = urllib.request.Request(
+                url, data=data, headers={"Content-Type": "application/json"}
+            )
             try:
-                with self._gate:
-                    response = requests.post(url, json=payload, timeout=self.timeout_s)
-            except requests.RequestException as exc:
+                with self._gate, urllib.request.urlopen(
+                    request, timeout=self.timeout_s
+                ) as response:
+                    status, raw = response.status, response.read()
+            except urllib.error.HTTPError as exc:
+                with exc:
+                    raw = exc.read()
+                raise BackendRefused(
+                    f"server returned {exc.code}: {raw.decode('utf-8', 'replace')[:400]}"
+                ) from exc
+            except OSError as exc:  # URLError, TimeoutError, refused connections
                 last_error = exc
                 time.sleep(min(2**attempt, 8) * 0.1)
                 continue
-            if response.status_code != 200:
+            if status != 200:
                 raise BackendRefused(
-                    f"server returned {response.status_code}: {response.text[:400]}"
+                    f"server returned {status}: {raw.decode('utf-8', 'replace')[:400]}"
                 )
             try:
-                body = response.json()
-                choices = body["choices"]
+                choices = json.loads(raw)["choices"]
                 return [Candidate(c["text"], c.get("score")) for c in choices]
             except (ValueError, KeyError, TypeError) as exc:
                 raise BackendRefused(f"malformed completion body: {exc}") from exc

@@ -671,3 +671,124 @@ R15_UNPREDICTABLE = {
 def test_unpredictable_r15_forms_are_undefined(word):
     with pytest.raises(armvm.UndefinedInstruction):
         step(word, {1: 0x10000, 2: 2})
+
+
+# --- the code cache: a patched word runs in its new form ----------------------
+
+def image_cpu(*words: int) -> armvm.Cpu:
+    """A Cpu over an image of ``words`` at 0x10000, pc at its first word."""
+    image = bytearray(b"".join(w.to_bytes(4, "little") for w in words))
+    return armvm.Cpu(armvm.Memory(0x10000, image), 0x10000)
+
+
+def run_at(cpu: armvm.Cpu, addr: int, times: int = 1) -> None:
+    for _ in range(times):
+        cpu.pc = addr
+        cpu.step()
+
+
+def cached_then_patched(cpu: armvm.Cpu, targets: list[int], store_at: int) -> None:
+    """Run each target word twice, so that it is cached, then the store."""
+    for addr in targets:
+        run_at(cpu, addr, times=2)
+        assert addr in cpu.mem.code  # the patch below must meet a cached entry
+    run_at(cpu, store_at)
+
+
+def test_str_patch_reaches_a_cached_word():
+    # mov r0, #1 becomes mov r0, #2
+    cpu = image_cpu(mov(0, ("#", 1)), mem("str", 2, 1, 0))
+    cpu.regs[1], cpu.regs[2] = 0x10000, mov(0, ("#", 2))
+    cached_then_patched(cpu, [0x10000], store_at=0x10004)
+    run_at(cpu, 0x10000)
+    assert cpu.regs[0] == 2
+
+
+def test_strb_patch_into_a_cached_word():
+    # byte 1 of mov r0, #1 holds rd: 0x10 makes it mov r1, #1
+    cpu = image_cpu(mov(0, ("#", 1)), mem("strb", 2, 3, 0))
+    cpu.regs[2], cpu.regs[3] = 0x10, 0x10001
+    cached_then_patched(cpu, [0x10000], store_at=0x10004)
+    cpu.regs[0] = cpu.regs[1] = 0
+    run_at(cpu, 0x10000)
+    assert (cpu.regs[0], cpu.regs[1]) == (0, 1)
+
+
+def test_unaligned_strh_patches_both_cached_words():
+    # the halfword at 0x10003 is byte 3 of the first word (0xE3 -> 0x03
+    # turns mov into moveq) and byte 0 of the second (its immediate, 5 -> 9)
+    cpu = image_cpu(mov(0, ("#", 1)), mov(2, ("#", 5)), mem("strh", 4, 3, 0))
+    cpu.regs[3], cpu.regs[4] = 0x10003, 0x0903
+    cached_then_patched(cpu, [0x10000, 0x10004], store_at=0x10008)
+    cpu.regs[0], cpu.z = 7, False
+    run_at(cpu, 0x10000)
+    run_at(cpu, 0x10004)
+    assert (cpu.regs[0], cpu.regs[2]) == (7, 9)
+
+
+def test_stm_patches_cached_words():
+    # stmia r1, {r2, r3} rewrites both words: mov r0, #1 / mov r5, #1
+    # become add r0, r0, #3 / mov r5, #4
+    stmia = 0xE8810000 | 1 << 2 | 1 << 3
+    cpu = image_cpu(mov(0, ("#", 1)), mov(5, ("#", 1)), stmia)
+    cpu.regs[1:4] = [0x10000, dp("add", 0, 0, ("#", 3)), mov(5, ("#", 4))]
+    cached_then_patched(cpu, [0x10000, 0x10004], store_at=0x10008)
+    cpu.regs[0] = 10
+    run_at(cpu, 0x10000)
+    run_at(cpu, 0x10004)
+    assert (cpu.regs[0], cpu.regs[5]) == (13, 4)
+
+
+def stack_code_guest() -> list[int]:
+    """Copies ``add r0, r0, #1; bx lr`` below sp, calls it twice, patches
+    its add to ``#10`` and calls it once more: exits with 12."""
+    blx_r4 = bx(4) | 1 << 5
+    p = armenc.Program()
+    p.emit(dp("sub", 4, SP, ("#", 256)), mov(0, ("#", 0)))
+    p.const(5, dp("add", 0, 0, ("#", 1)))
+    p.emit(mem("str", 5, 4, 0))
+    p.const(5, bx(LR))
+    p.emit(mem("str", 5, 4, 4), blx_r4, blx_r4)
+    p.const(5, dp("add", 0, 0, ("#", 10)))
+    p.emit(mem("str", 5, 4, 0), blx_r4)
+    p.exit_with(0)
+    return p.words()
+
+
+def test_code_on_the_stack_runs_patched(arm_elf):
+    path = arm_elf(stack_code_guest())
+    cpu = armvm.Cpu(*armvm.load_elf(str(path)))
+    with pytest.raises(armvm.GuestExit) as exit_info:
+        while True:
+            cpu.step()
+    assert exit_info.value.code == 12
+    assert run_vm(path).returncode == 12  # the same through run's own loop
+
+
+CLZEQ = 0x016F0F11  # clzeq r0, r1: the miscellaneous space, undefined here
+
+
+def test_conditional_undefined_word_faults_only_when_its_condition_passes():
+    cpu = image_cpu(CLZEQ)
+    cpu.z = False
+    run_at(cpu, 0x10000, times=3)  # skipped, and cached from the second run
+    assert (cpu.steps, cpu.pc, cpu.regs[0]) == (3, 0x10004, 0)
+    assert 0x10000 in cpu.mem.code
+    cpu.z = True
+    with pytest.raises(armvm.UndefinedInstruction, match="0x016f0f11 at 0x00010000"):
+        run_at(cpu, 0x10000)
+    assert cpu.steps == 4
+
+
+@pytest.mark.parametrize("stop_at,expected", [(100, 1), (1, -4)])
+def test_conditional_undefined_word_in_a_guest(arm_elf, stop_at, expected):
+    # counts r1 down from 3; clzeq runs once r1 equals stop_at
+    p = armenc.Program()
+    p.emit(mov(0, ("#", 1)), mov(1, ("#", 3)))
+    p.label("loop")
+    p.emit(dp("cmp", 0, 1, ("#", stop_at)), CLZEQ, dp("sub", 1, 1, ("#", 1), s=True))
+    p.branch("loop", cond="ne")
+    p.exit_with(0)
+    proc = run_vm(arm_elf(p.words()))
+    assert proc.returncode == expected  # 1: exited; -4: SIGILL
+    assert ("0x016f0f11" in proc.stderr) == (expected == -4)

@@ -179,6 +179,7 @@ def test_rule_backend_const_ret_passes_unit_test(lite_cfg, tmp_path):
 class _StubHandler(BaseHTTPRequestHandler):
     canned: list[dict] = [{"text": "mov r0, #5\nbx lr\n"}]
     status = 200
+    raw_body: bytes | None = None  # sent as is with a 200 when set
     requests_seen: list[dict] = []
 
     def do_POST(self):
@@ -191,7 +192,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.wfile.write(b"backend exploded")
             return
         n = body.get("n", 1)
-        payload = json.dumps({"choices": self.canned[:n] or self.canned}).encode()
+        payload = self.raw_body
+        if payload is None:
+            payload = json.dumps({"choices": self.canned[:n] or self.canned}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -205,6 +208,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def stub_server():
     _StubHandler.status = 200
+    _StubHandler.raw_body = None
     _StubHandler.requests_seen = []
     _StubHandler.canned = [{"text": "mov r0, #5\nbx lr\n"}]
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
@@ -212,6 +216,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_backend_canned_completion(stub_server):
@@ -238,6 +243,21 @@ def test_remote_backend_server_error(stub_server):
     _StubHandler.status = 500
     backend = RemoteBackend(stub_server, max_retries=2, timeout_s=5)
     with pytest.raises(BackendRefused, match="500"):
+        backend.transpile(req("x"))
+
+
+def test_remote_backend_malformed_body(stub_server):
+    _StubHandler.raw_body = b"<html>not json</html>"
+    backend = RemoteBackend(stub_server, max_retries=2, timeout_s=5)
+    with pytest.raises(BackendRefused, match="malformed completion body"):
+        backend.transpile(req("x"))
+    assert len(_StubHandler.requests_seen) == 1  # refused, not retried
+
+
+def test_remote_backend_success_status_other_than_200(stub_server):
+    _StubHandler.status = 202
+    backend = RemoteBackend(stub_server, max_retries=2, timeout_s=5)
+    with pytest.raises(BackendRefused, match="202: backend exploded"):
         backend.transpile(req("x"))
 
 
