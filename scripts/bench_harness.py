@@ -3,9 +3,9 @@
 
     python3 scripts/bench_harness.py --baseline <git-rev> --output BENCH_<pr>.json
 
-Measures this checkout's ``src/`` and, with ``--baseline``, the ``src/`` of
-that git revision (exported with ``git archive`` into a temporary
-directory), alternating the two trees round by round:
+Measures this checkout's ``src/`` and the ``src/`` of the baseline git
+revision (exported with ``git archive`` into a temporary directory),
+alternating the two trees over ``ROUNDS`` rounds:
 
 - in-process Minstr/s of ``armvm.run`` on each ``armenc`` guest shape
   (exit, loop, straight, selfstore), best of three runs in each of the
@@ -44,6 +44,7 @@ STRAIGHT_LENGTH = 30000
 SELFSTORE_ITERATIONS = 12000
 SEED = 0  # of the guests' random programs
 
+ROUNDS = 7  # per tree, alternating
 IN_PROCESS_RUNS = 3  # per guest and round, in one child
 
 # in-process runs of each guest: prints {shape: best seconds}
@@ -162,24 +163,20 @@ def machine_stamp() -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--baseline", help="git revision to measure beside this checkout")
-    parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--output", type=Path, help="JSON file to write (default: stdout)")
+    parser.add_argument("--baseline", required=True,
+                        help="git revision to measure beside this checkout")
+    parser.add_argument("--output", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
 
     stamp = machine_stamp()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         guests = write_guests(work, SEED)
-        trees = {"head": ROOT / "src"}
-        if args.baseline:
-            base = work / "baseline"
-            base.mkdir()
-            trees = {"baseline": export_tree(args.baseline, base), **trees}
+        base = work / "baseline"
+        base.mkdir()
+        trees = {"baseline": export_tree(args.baseline, base), "head": ROOT / "src"}
         rounds: dict[str, list] = {name: [] for name in trees}
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             # alternate which tree runs first, so drift favours neither
             order = list(trees) if i % 2 == 0 else list(reversed(trees))
             for name in order:
@@ -189,32 +186,27 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "layer": "armvm",
         "machine": stamp,
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "seed": SEED,
         # git tree ids of the measured src/ (a commit amended later keeps them)
         "head_src_tree": "uncommitted changes" if git("status", "--porcelain", "src")
         else git("rev-parse", "HEAD:src"),
         "guest_instructions": {shape: guests[shape][2] for shape in SHAPES},
         "results": results,
+        "baseline": args.baseline,
+        "baseline_src_tree": git("rev-parse", f"{args.baseline}:src"),
     }
-    if args.baseline:
-        report["baseline"] = args.baseline
-        report["baseline_src_tree"] = git("rev-parse", f"{args.baseline}:src")
-        base, head = results["baseline"], results["head"]
-        report["head_over_baseline"] = {
-            "minstr_per_s": {shape: round(head["minstr_per_s"][shape]
-                                          / base["minstr_per_s"][shape], 3)
-                             for shape in SHAPES},
-            "exit_guest_wall_s": round(head["exit_guest_wall_s"]
-                                       / base["exit_guest_wall_s"], 3),
-            "straight_peak_rss_mb": round(head["straight_peak_rss_mb"]
-                                          / base["straight_peak_rss_mb"], 3),
-        }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.output:
-        args.output.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    base, head = results["baseline"], results["head"]
+    report["head_over_baseline"] = {
+        "minstr_per_s": {shape: round(head["minstr_per_s"][shape]
+                                      / base["minstr_per_s"][shape], 3)
+                         for shape in SHAPES},
+        "exit_guest_wall_s": round(head["exit_guest_wall_s"]
+                                   / base["exit_guest_wall_s"], 3),
+        "straight_peak_rss_mb": round(head["straight_peak_rss_mb"]
+                                      / base["straight_peak_rss_mb"], 3),
+    }
+    args.output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

@@ -479,6 +479,7 @@ class RemoteBackend(Backend):
             "n": req.params.num_beams,
         }
         # imported here: only remote runs pay for the HTTP client
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -486,10 +487,10 @@ class RemoteBackend(Backend):
         data = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
-            request = urllib.request.Request(
-                url, data=data, headers={"Content-Type": "application/json"}
-            )
             try:
+                request = urllib.request.Request(
+                    url, data=data, headers={"Content-Type": "application/json"}
+                )
                 with self._gate, urllib.request.urlopen(
                     request, timeout=self.timeout_s
                 ) as response:
@@ -500,10 +501,14 @@ class RemoteBackend(Backend):
                 raise BackendRefused(
                     f"server returned {exc.code}: {raw.decode('utf-8', 'replace')[:400]}"
                 ) from exc
-            except OSError as exc:  # URLError, TimeoutError, refused connections
+            except (OSError, http.client.HTTPException) as exc:
+                # URLError, TimeoutError, refused or reset connections, a body
+                # cut short (IncompleteRead), a reply that is not HTTP
                 last_error = exc
                 time.sleep(min(2**attempt, 8) * 0.1)
                 continue
+            except ValueError as exc:  # an endpoint urllib cannot parse
+                raise BackendUnavailable(f"bad endpoint {url!r}: {exc}") from exc
             if status != 200:
                 raise BackendRefused(
                     f"server returned {status}: {raw.decode('utf-8', 'replace')[:400]}"
@@ -514,7 +519,8 @@ class RemoteBackend(Backend):
             except (ValueError, KeyError, TypeError) as exc:
                 raise BackendRefused(f"malformed completion body: {exc}") from exc
         raise BackendUnavailable(
-            f"no response from {url} after {self.max_retries} attempts: {last_error}"
+            f"no response from {url} after {self.max_retries} attempts: "
+            f"{type(last_error).__name__}: {last_error}"
         )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import subprocess
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -180,6 +181,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     canned: list[dict] = [{"text": "mov r0, #5\nbx lr\n"}]
     status = 200
     raw_body: bytes | None = None  # sent as is with a 200 when set
+    truncate = False  # close the connection partway through the body
     requests_seen: list[dict] = []
 
     def do_POST(self):
@@ -199,6 +201,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
+        if self.truncate:
+            payload = payload[: len(payload) // 2]
         self.wfile.write(payload)
 
     def log_message(self, *args):
@@ -209,6 +213,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 def stub_server():
     _StubHandler.status = 200
     _StubHandler.raw_body = None
+    _StubHandler.truncate = False
     _StubHandler.requests_seen = []
     _StubHandler.canned = [{"text": "mov r0, #5\nbx lr\n"}]
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
@@ -264,6 +269,42 @@ def test_remote_backend_success_status_other_than_200(stub_server):
 def test_remote_backend_unreachable():
     backend = RemoteBackend("http://127.0.0.1:9", max_retries=2, timeout_s=0.2)
     with pytest.raises(BackendUnavailable):
+        backend.transpile(req("x"))
+
+
+def test_remote_backend_body_cut_short(stub_server):
+    _StubHandler.truncate = True
+    backend = RemoteBackend(stub_server, max_retries=2, timeout_s=5)
+    with pytest.raises(BackendUnavailable, match="IncompleteRead"):
+        backend.transpile(req("x"))
+    assert len(_StubHandler.requests_seen) == 2  # retried, then given up
+
+
+def test_remote_backend_reply_not_http():
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+
+    def garble():
+        for _ in range(2):  # one per attempt
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"garbage\r\n\r\n")
+
+    thread = threading.Thread(target=garble, daemon=True)
+    thread.start()
+    try:
+        backend = RemoteBackend(f"http://127.0.0.1:{port}", max_retries=2, timeout_s=5)
+        with pytest.raises(BackendUnavailable, match="BadStatusLine"):
+            backend.transpile(req("x"))
+    finally:
+        thread.join(timeout=5)
+        server.close()
+
+
+def test_remote_backend_endpoint_without_scheme():
+    backend = RemoteBackend("127.0.0.1", max_retries=2, timeout_s=0.2)
+    with pytest.raises(BackendUnavailable, match="bad endpoint"):
         backend.transpile(req("x"))
 
 
