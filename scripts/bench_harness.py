@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""armvm layer of the harness self-benchmark: writes a ``BENCH_<pr>.json``.
+"""Harness self-benchmark by layer: writes a ``BENCH_<pr>.json``.
 
     python3 scripts/bench_harness.py --baseline <git-rev> --output BENCH_<pr>.json
 
 Measures this checkout's ``src/`` and the ``src/`` of the baseline git
 revision (exported with ``git archive`` into a temporary directory),
-alternating the two trees over ``ROUNDS`` rounds:
+alternating the two trees over ``ROUNDS`` rounds.
+
+armvm layer:
 
 - in-process Minstr/s of ``armvm.run`` on each ``armenc`` guest shape
   (exit, loop, straight, selfstore), best of three runs in each of the
@@ -15,11 +17,22 @@ alternating the two trees over ``ROUNDS`` rounds:
 - peak RSS of a ``python -m xisa.armvm`` child on the straight guest,
   largest of the rounds.
 
-Every run's exit code is checked against the guest's.  Each measurement
-runs in a fresh child process whose ``PYTHONPATH`` names one tree's
-``src/``.  The guests are those of perfbench's ``armvm`` workload, at its
-sizes, from ``perfbench/armenc.py`` loaded by path.  The output also holds
-the machine stamp.
+Every run's exit code is checked against the guest's.  The guests are those
+of perfbench's ``armvm`` workload, at its sizes, from ``perfbench/armenc.py``
+loaded by path.
+
+build layer (gcc only): ``mini_suite`` is loaded as x86_64 self-translation
+under ``configs/clang-lite.cfg``, and each pair's ground truth is run through
+``evaluation.run_functional`` ``BEAMS`` times in a row, as a beam list would
+be, in a fresh child per round, so every pair's first call starts cold and
+later calls show only reuse within the pair.  Reported: the median seconds
+per call over all rounds, for the first beam and for the later ones; the
+median seconds of each ``toolrun.run_command`` step by template; and
+``run_command`` calls per candidate.  Every call must pass.
+
+Each measurement runs in a fresh child process whose ``PYTHONPATH`` names
+one tree's ``src/``; both trees use this checkout's configs and fixtures.
+The output also holds the machine stamp.
 """
 from __future__ import annotations
 
@@ -29,6 +42,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -46,6 +60,9 @@ SEED = 0  # of the guests' random programs
 
 ROUNDS = 7  # per tree, alternating
 IN_PROCESS_RUNS = 3  # per guest and round, in one child
+BEAMS = 4  # run_functional calls per mini_suite pair and round
+BUILD_CONFIG = ROOT / "configs" / "clang-lite.cfg"
+BUILD_SUITE = ROOT / "tests" / "fixtures" / "mini_suite"
 
 # in-process runs of each guest: prints {shape: best seconds}
 CHILD = """
@@ -61,6 +78,36 @@ for shape, path, code, runs in json.loads(sys.argv[1]):
             sys.exit(f"{shape}: exit code {got}, expected {code}")
         out[shape] = min(out.get(shape, seconds), seconds)
 print(json.dumps(out))
+"""
+
+
+# one pass over the suite: prints every call's seconds and every step's
+BUILD_CHILD = """
+import json, sys, time
+from xisa import core, dataset, evaluation, toolrun
+config, suite, beams = json.loads(sys.argv[1])
+cfg = core.load_config(config)
+pairs = dataset.load_eval_suite(suite, "x86_64", cfg)
+steps = {}
+real = toolrun.run_command
+def timed(template, mapping, timeout):
+    start = time.perf_counter()
+    try:
+        return real(template, mapping, timeout)
+    finally:
+        steps.setdefault(template, []).append(time.perf_counter() - start)
+toolrun.run_command = timed
+calls = []
+for pair in pairs:
+    beam_s = []
+    for _ in range(beams):
+        start = time.perf_counter()
+        outcome, logs = evaluation.run_functional(pair.target.normalized_text, pair, cfg)
+        beam_s.append(time.perf_counter() - start)
+        if not outcome.is_pass:
+            sys.exit(f"{pair.pair_id}: {outcome.describe()}\\n{logs}")
+    calls.append(beam_s)
+print(json.dumps({"calls": calls, "steps": steps}))
 """
 
 
@@ -122,7 +169,7 @@ def run_vm(src: Path, guest: tuple) -> tuple[float, float]:
     return seconds, usage.ru_maxrss / 1024
 
 
-def one_round(src: Path, guests: dict) -> dict:
+def armvm_round(src: Path, guests: dict) -> dict:
     spec = json.dumps([(shape, guests[shape][0], guests[shape][1], IN_PROCESS_RUNS)
                        for shape in SHAPES])
     proc = subprocess.run([sys.executable, "-c", CHILD, spec], env=child_env(src),
@@ -133,7 +180,16 @@ def one_round(src: Path, guests: dict) -> dict:
     return {"seconds": seconds, "exit_wall_s": exit_wall, "straight_rss_mb": straight_rss}
 
 
-def summarize(rounds: list[dict], guests: dict) -> dict:
+def build_round(src: Path) -> dict:
+    spec = json.dumps([str(BUILD_CONFIG), str(BUILD_SUITE), BEAMS])
+    proc = subprocess.run([sys.executable, "-c", BUILD_CHILD, spec], env=child_env(src),
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"build layer child failed: {proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def summarize_armvm(rounds: list[dict], guests: dict) -> dict:
     best = {shape: min(r["seconds"][shape] for r in rounds) for shape in SHAPES}
     return {
         "minstr_per_s": {shape: round(guests[shape][2] / best[shape] / 1e6, 4)
@@ -141,6 +197,25 @@ def summarize(rounds: list[dict], guests: dict) -> dict:
         "run_s": {shape: round(best[shape], 5) for shape in SHAPES},
         "exit_guest_wall_s": round(min(r["exit_wall_s"] for r in rounds), 4),
         "straight_peak_rss_mb": round(max(r["straight_rss_mb"] for r in rounds), 2),
+    }
+
+
+def summarize_build(rounds: list[dict]) -> dict:
+    calls = [pair for r in rounds for pair in r["calls"]]
+    candidates = sum(len(pair) for pair in calls)
+    steps: dict[str, list[float]] = {}
+    for r in rounds:
+        for template, seconds in r["steps"].items():
+            steps.setdefault(template, []).extend(seconds)
+    return {
+        "candidates": candidates,
+        "call_s_median": round(statistics.median(s for pair in calls for s in pair), 5),
+        "first_beam_s_median": round(statistics.median(pair[0] for pair in calls), 5),
+        "later_beam_s_median": round(statistics.median(s for pair in calls for s in pair[1:]), 5),
+        "step_s_median": {t: round(statistics.median(v), 5) for t, v in steps.items()},
+        "step_calls": {t: len(v) for t, v in steps.items()},
+        "run_command_calls_per_candidate": round(
+            sum(len(v) for v in steps.values()) / candidates, 4),
     }
 
 
@@ -175,36 +250,54 @@ def main(argv: list[str] | None = None) -> int:
         base = work / "baseline"
         base.mkdir()
         trees = {"baseline": export_tree(args.baseline, base), "head": ROOT / "src"}
-        rounds: dict[str, list] = {name: [] for name in trees}
+        armvm_rounds: dict[str, list] = {name: [] for name in trees}
+        build_rounds: dict[str, list] = {name: [] for name in trees}
         for i in range(ROUNDS):
             # alternate which tree runs first, so drift favours neither
             order = list(trees) if i % 2 == 0 else list(reversed(trees))
             for name in order:
-                rounds[name].append(one_round(trees[name], guests))
-        results = {name: summarize(rounds[name], guests) for name in trees}
+                armvm_rounds[name].append(armvm_round(trees[name], guests))
+                build_rounds[name].append(build_round(trees[name]))
+        armvm = {name: summarize_armvm(armvm_rounds[name], guests) for name in trees}
+        build = {name: summarize_build(build_rounds[name]) for name in trees}
+
+    def ratio(key: str, layer: dict) -> float:
+        return round(layer["head"][key] / layer["baseline"][key], 3)
 
     report = {
-        "layer": "armvm",
         "machine": stamp,
         "rounds": ROUNDS,
-        "seed": SEED,
+        "baseline": args.baseline,
+        "baseline_src_tree": git("rev-parse", f"{args.baseline}:src"),
         # git tree ids of the measured src/ (a commit amended later keeps them)
         "head_src_tree": "uncommitted changes" if git("status", "--porcelain", "src")
         else git("rev-parse", "HEAD:src"),
-        "guest_instructions": {shape: guests[shape][2] for shape in SHAPES},
-        "results": results,
-        "baseline": args.baseline,
-        "baseline_src_tree": git("rev-parse", f"{args.baseline}:src"),
-    }
-    base, head = results["baseline"], results["head"]
-    report["head_over_baseline"] = {
-        "minstr_per_s": {shape: round(head["minstr_per_s"][shape]
-                                      / base["minstr_per_s"][shape], 3)
-                         for shape in SHAPES},
-        "exit_guest_wall_s": round(head["exit_guest_wall_s"]
-                                   / base["exit_guest_wall_s"], 3),
-        "straight_peak_rss_mb": round(head["straight_peak_rss_mb"]
-                                      / base["straight_peak_rss_mb"], 3),
+        "layers": {
+            "armvm": {
+                "seed": SEED,
+                "guest_instructions": {shape: guests[shape][2] for shape in SHAPES},
+                "results": armvm,
+                "head_over_baseline": {
+                    "minstr_per_s": {
+                        shape: round(armvm["head"]["minstr_per_s"][shape]
+                                     / armvm["baseline"]["minstr_per_s"][shape], 3)
+                        for shape in SHAPES},
+                    "exit_guest_wall_s": ratio("exit_guest_wall_s", armvm),
+                    "straight_peak_rss_mb": ratio("straight_peak_rss_mb", armvm),
+                },
+            },
+            "build": {
+                "config": str(BUILD_CONFIG.relative_to(ROOT)),
+                "suite": str(BUILD_SUITE.relative_to(ROOT)),
+                "beams": BEAMS,
+                "results": build,
+                "head_over_baseline": {
+                    key: ratio(key, build)
+                    for key in ("call_s_median", "first_beam_s_median",
+                                "later_beam_s_median", "run_command_calls_per_candidate")
+                },
+            },
+        },
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0

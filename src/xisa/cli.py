@@ -218,7 +218,9 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
     started = _now()
     cfg = _load_cfg(args)
     spec = _vocab_or_baseline(args.vocab)
-    pairs = dataset_mod.load_eval_suite(args.suite, args.target, cfg, spec)
+    pairs = dataset_mod.load_eval_suite(
+        args.suite, args.target, cfg, spec, jobs=args.jobs
+    )
     backend = make_backend(
         args.backend,
         pairs=pairs,

@@ -149,11 +149,6 @@ _REGISTRY: dict[IsaName, Isa] = {
 }
 
 
-def isa_registry() -> list[Isa]:
-    """The four built-in ISAs, in a fixed order."""
-    return [_REGISTRY[n] for n in IsaName]
-
-
 def get_isa(name: IsaName | str) -> Isa:
     return _REGISTRY[IsaName(name)]
 

@@ -273,8 +273,10 @@ def load_eval_suite(
     target_isa: IsaName | str,
     cfg: ToolchainConfig,
     tokenizer_spec: tok.TokenizerSpec = tok.BYTE_BASELINE,
+    jobs: int = 1,
 ) -> list[TranspilePair]:
-    """Load a <id>/func.c + <id>/test.c benchmark directory, ascending by id."""
+    """Load a <id>/func.c + <id>/test.c benchmark directory, ascending by id,
+    compiling up to ``jobs`` entries at a time."""
     suite = Path(suite_dir)
     if not suite.is_dir():
         raise LayoutError(str(suite), "not a directory")
@@ -289,14 +291,16 @@ def load_eval_suite(
             raise LayoutError(entry.name, "missing func.c")
         if not (entry / "test.c").is_file():
             raise LayoutError(entry.name, "missing test.c")
-    return [
-        compile_pair(
-            entry / "func.c",
-            target_isa,
-            cfg,
-            tokenizer_spec,
-            test_source_path=str(entry / "test.c"),
-            pair_id=entry.name,
-        )
-        for entry in entries
-    ]
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        # map yields in submission order, so the list is sorted for every jobs
+        return list(pool.map(
+            lambda entry: compile_pair(
+                entry / "func.c",
+                target_isa,
+                cfg,
+                tokenizer_spec,
+                test_source_path=str(entry / "test.c"),
+                pair_id=entry.name,
+            ),
+            entries,
+        ))

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import configparser
 import functools
+import hashlib
 import json
+import os
 import signal as signal_module
 import subprocess
 import tempfile
+import threading
+from collections import OrderedDict
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -225,6 +229,86 @@ def _signal_name(code: int) -> str:
         return f"SIG{code}"
 
 
+# Build steps that name neither {candidate} nor {output} (the test driver,
+# start stubs) give the same files for the same inputs, so each distinct one
+# runs once per process: a constructive trace in the sense of Mokhov, Mitchell
+# & Peyton Jones, "Build Systems a la Carte" (ICFP 2018).
+BUILD_CACHE_ENTRIES = 256
+
+
+class BuildCache:
+    """Bounded LRU map from a build step's key to its log line and files.
+
+    The lock covers the dict operations only: two threads missing the same
+    key both run the step, and the later result replaces the earlier.
+    """
+
+    def __init__(self, entries: int):
+        self.entries = entries
+        self._items: OrderedDict[tuple, tuple] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> tuple | None:
+        with self._lock:
+            value = self._items.get(key)
+            if value is not None:
+                self._items.move_to_end(key)
+            return value
+
+    def put(self, key: tuple, value: tuple) -> None:
+        with self._lock:
+            self._items[key] = value
+            self._items.move_to_end(key)
+            while len(self._items) > self.entries:
+                self._items.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._items.clear()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
+BUILD_CACHE = BuildCache(BUILD_CACHE_ENTRIES)
+
+
+def _step_key(step: str, mapping: dict[str, str], td: str) -> tuple:
+    """The template, the argv with the run's tmpdir written as {tmpdir}, and
+    the SHA-256 of each argv token naming an existing file (None otherwise)."""
+    argv = toolrun.render_command(step, mapping)
+    digests = tuple(
+        hashlib.sha256(Path(tok).read_bytes()).hexdigest() if os.path.isfile(tok) else None
+        for tok in argv
+    )
+    return step, tuple(tok.replace(td, "{tmpdir}") for tok in argv), digests
+
+
+def _tmpdir_entries(td: str) -> dict[str, tuple | None]:
+    """Each entry of td: (inode, size, mtime) for a regular file, else None."""
+    out: dict[str, tuple | None] = {}
+    with os.scandir(td) as entries:
+        for e in entries:
+            st = e.stat(follow_symlinks=False)
+            regular = e.is_file(follow_symlinks=False)
+            out[e.name] = (st.st_ino, st.st_size, st.st_mtime_ns) if regular else None
+    return out
+
+
+def _created_files(td: str, before: dict[str, tuple | None]) -> tuple | None:
+    """(name, mode, bytes) of each file a step created or rewrote in td; None
+    when td then holds anything but regular files or lost a file."""
+    after = _tmpdir_entries(td)
+    if None in after.values() or before.keys() - after.keys():
+        return None
+    files = []
+    for name in sorted(after):
+        if after[name] != before.get(name):
+            path = Path(td) / name
+            files.append((name, path.stat().st_mode & 0o7777, path.read_bytes()))
+    return tuple(files)
+
+
 def run_functional(
     candidate_text: str,
     pair: TranspilePair,
@@ -235,7 +319,11 @@ def run_functional(
     Candidate faults map to TestOutcome; broken infrastructure (missing tools,
     failing test-driver builds) raises ToolchainError instead so harness bugs
     are never scored as translation failures.  A failing build step's
-    placeholders alone decide which (see ``IsaCommands``).
+    placeholders alone decide which (see ``IsaCommands``).  A step that names
+    neither {candidate} nor {output} and succeeded before with the same key
+    (``_step_key``) is not run again: ``BUILD_CACHE`` puts back the files it
+    created and its log line.  Failing steps, and steps that leave anything
+    but regular files in the tmpdir, are never cached.
     """
     if not pair.test_source_path:
         raise ValueError(f"pair {pair.pair_id} has no test program")
@@ -260,6 +348,18 @@ def run_functional(
         }
 
         for step in cmds.assemble_link:
+            key = None
+            if "{candidate}" not in step and "{output}" not in step:
+                key = _step_key(step, mapping, td)
+                cached = BUILD_CACHE.get(key)
+                if cached is not None:
+                    line, files = cached
+                    for name, mode, data in files:
+                        (Path(td) / name).write_bytes(data)
+                        (Path(td) / name).chmod(mode)
+                    logs.append(line)
+                    continue
+                before = _tmpdir_entries(td)
             try:
                 proc = toolrun.run_command(step, mapping, cfg.timeout_compile)
             except subprocess.TimeoutExpired:
@@ -274,6 +374,10 @@ def run_functional(
                 ) from None
             logs.append(scrub(f"$ {step}\n{proc.stdout}{proc.stderr}".rstrip(), td))
             if proc.returncode == 0:
+                if key is not None:
+                    files = _created_files(td, before)
+                    if files is not None:
+                        BUILD_CACHE.put(key, (logs[-1], files))
                 continue
             if "{candidate}" in step:
                 return TestOutcome(OutcomeStatus.ASSEMBLE_ERROR), "\n".join(logs)

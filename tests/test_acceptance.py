@@ -26,6 +26,7 @@ from xisa.cli import main as cli_main
 from xisa.core import GenerationParams, IsaName
 from xisa.dataset import load_eval_suite
 from xisa.evaluation import (
+    BUILD_CACHE,
     ErrorClass,
     OutcomeStatus,
     TestOutcome,
@@ -332,6 +333,7 @@ def test_criterion_10_eval_runs_byte_identical(tmp_path):
         (d / "test.c").write_text(
             f"int f(int x);\nint main(void) {{ return {check} ? 0 : 1; }}\n"
         )
+    BUILD_CACHE.clear()  # the first run builds cold, the second from the cache
     outputs = []
     for name in ("a.ndjson", "b.ndjson"):
         out = tmp_path / name
@@ -360,6 +362,7 @@ def comparable_bytes(path: Path) -> bytes:
 
 @needs_gcc
 def test_criterion_10_gcc_only_jobs_invariant(tmp_path):
+    BUILD_CACHE.clear()  # the first run builds cold, the second from the cache
     outputs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}.ndjson"

@@ -195,6 +195,14 @@ def test_load_eval_suite_missing_test_named(lite_cfg, tmp_path):
         load_eval_suite(suite, IsaName.ARMV5, lite_cfg)
 
 
+@needs_gcc
+def test_load_eval_suite_jobs_invariant_gcc_only(mini_pairs_x86, lite_cfg):
+    parallel = load_eval_suite(FIXTURES / "mini_suite", IsaName.X86_64, lite_cfg, jobs=2)
+    serial = load_eval_suite(FIXTURES / "mini_suite", IsaName.X86_64, lite_cfg, jobs=1)
+    assert parallel == serial
+    assert [p.pair_id for p in serial] == sorted(p.pair_id for p in serial)
+
+
 @needs_lite
 def test_repo_mini_suite_loads(mini_pairs):
     assert len(mini_pairs) >= 10

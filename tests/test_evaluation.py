@@ -1,21 +1,29 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
+import shutil
+import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIGS, FIXTURES, X86_PROFILES, needs_gcc, needs_lite
+from xisa import evaluation, toolrun
 from xisa.asmtext import parse_assembly
 from xisa.backends import Backend, Candidate, IdentityBackend, ReplayBackend
 from xisa.core import GenerationParams, IsaName, parse_config
 from xisa.dataset import AsmSide, TranspilePair, compile_pair
 from xisa.errors import MismatchedSuites, ToolchainError
 from xisa.evaluation import (
+    BUILD_CACHE,
+    BuildCache,
     ErrorClass,
     EvalResult,
     OutcomeStatus,
@@ -666,6 +674,202 @@ def test_broken_test_driver_is_toolchain_error_gcc_only(mini_pairs_x86, x86_prof
     for cfg in x86_profiles.values():
         with pytest.raises(ToolchainError, match="test-driver build failed"):
             run_functional(pair.target.normalized_text, broken_pair, cfg)
+
+
+# --- build-step cache ------------------------------------------------------------
+
+X86_DRIVER_STEP = "gcc {opt} -c {test_src} -o {tmpdir}/test.o"
+
+
+@pytest.fixture
+def commands(monkeypatch):
+    """Counts ``toolrun.run_command`` calls by template, from an empty cache."""
+    calls: collections.Counter[str] = collections.Counter()
+    real = toolrun.run_command
+
+    def counting(template, mapping, timeout):
+        calls[template] += 1
+        return real(template, mapping, timeout)
+
+    monkeypatch.setattr(toolrun, "run_command", counting)
+    BUILD_CACHE.clear()
+    return calls
+
+
+def _sum_upto_with_driver(mini_pairs_x86, tmp_path, name="test.c") -> TranspilePair:
+    """The sum_upto pair with a copy of its test driver under tmp_path."""
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    driver = tmp_path / name
+    shutil.copyfile(pair.test_source_path, driver)
+    return dataclasses.replace(pair, test_source_path=str(driver))
+
+
+@needs_gcc
+def test_driver_compiled_once_for_three_beams_gcc_only(mini_pairs_x86, lite_cfg, commands):
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    truth = pair.target.normalized_text
+    backend = FixedBeams([X86_SUM_UPTO_WRONG, _x86_broken(pair, "off_by_one"), truth])
+    result = evaluate_pair(pair, backend, GenerationParams(num_beams=3), lite_cfg)
+    assert result.outcome.is_pass
+    assert result.candidate_index_used == 2
+    assert commands["gcc -c {candidate} -o {tmpdir}/candidate.o"] == 3
+    assert commands[X86_DRIVER_STEP] == 1
+
+
+@needs_gcc
+@pytest.mark.parametrize("kind,expected", [
+    ("truth", "pass"),
+    ("unknown_mnemonic", "assemble_error"),
+    ("renamed_global", "link_error"),
+    ("null_load", "runtime_crash(SIGSEGV)"),
+    ("off_by_one", "test_failed(1)"),
+])
+def test_cold_and_warm_cache_give_equal_results_gcc_only(
+    mini_pairs_x86, x86_profiles, commands, kind, expected
+):
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    truth = pair.target.normalized_text
+    candidate = truth if kind == "truth" else _x86_broken(pair, kind)
+    for profile, cfg in x86_profiles.items():
+        BUILD_CACHE.clear()
+        cold = run_functional(candidate, pair, cfg)
+        run_functional(truth, pair, cfg)  # warms the cache for every kind
+        compiled = commands[X86_DRIVER_STEP]
+        warm = run_functional(candidate, pair, cfg)
+        assert commands[X86_DRIVER_STEP] == compiled, profile
+        assert cold[0].describe() == expected, (profile, cold[1])
+        assert warm == cold, profile
+
+
+@needs_gcc
+def test_rewritten_driver_is_rebuilt_gcc_only(mini_pairs_x86, lite_cfg, tmp_path, commands):
+    pair = _sum_upto_with_driver(mini_pairs_x86, tmp_path)
+    truth = pair.target.normalized_text
+    assert run_functional(truth, pair, lite_cfg)[0].is_pass
+    driver = Path(pair.test_source_path)
+    driver.write_text(driver.read_text().replace("!= 55) return 3", "!= 56) return 3"))
+    outcome, _logs = run_functional(truth, pair, lite_cfg)
+    assert outcome.describe() == "test_failed(3)"
+    assert commands[X86_DRIVER_STEP] == 2
+
+
+@needs_gcc
+def test_failing_driver_build_is_never_cached_gcc_only(mini_pairs_x86, lite_cfg, tmp_path, commands):
+    pair = _sum_upto_with_driver(mini_pairs_x86, tmp_path)
+    Path(pair.test_source_path).write_text("int main(void) { return sum_upto(1) != 1 }\n")
+    for _ in range(2):
+        with pytest.raises(ToolchainError, match="test-driver build failed"):
+            run_functional(pair.target.normalized_text, pair, lite_cfg)
+    assert commands[X86_DRIVER_STEP] == 2
+    assert len(BUILD_CACHE) == 0
+
+
+# a step that reads the candidate's object without naming {candidate}
+COPY_STEP = "cp {tmpdir}/candidate.o {tmpdir}/copy.o"
+COPY_PROFILE = f"""
+[x86_64]
+assemble_link =
+    gcc -c {{candidate}} -o {{tmpdir}}/candidate.o
+    {COPY_STEP}
+    gcc {{opt}} -c {{test_src}} -o {{tmpdir}}/test.o
+    gcc {{tmpdir}}/copy.o {{tmpdir}}/test.o -o {{output}}
+emulate = {{input}}
+"""
+
+
+@needs_gcc
+def test_step_reading_a_tmpdir_file_is_keyed_by_its_content_gcc_only(mini_pairs_x86, commands):
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    cfg = parse_config(COPY_PROFILE)
+    truth = pair.target.normalized_text
+    off_by_one = _x86_broken(pair, "off_by_one")
+    assert run_functional(truth, pair, cfg)[0].is_pass
+    assert run_functional(off_by_one, pair, cfg)[0].describe() == "test_failed(1)"
+    assert commands[COPY_STEP] == 2
+    # each candidate's copy now comes from its own entry
+    assert run_functional(truth, pair, cfg)[0].is_pass
+    assert run_functional(off_by_one, pair, cfg)[0].describe() == "test_failed(1)"
+    assert commands[COPY_STEP] == 2
+    assert commands[X86_DRIVER_STEP] == 1
+
+
+MKDIR_STEP = "mkdir {tmpdir}/objs"
+MKDIR_PROFILE = f"""
+[x86_64]
+assemble_link =
+    gcc -c {{candidate}} -o {{tmpdir}}/candidate.o
+    {MKDIR_STEP}
+    gcc {{opt}} -c {{test_src}} -o {{tmpdir}}/objs/test.o
+    gcc {{tmpdir}}/candidate.o {{tmpdir}}/objs/test.o -o {{output}}
+emulate = {{input}}
+"""
+
+
+@needs_gcc
+def test_step_leaving_a_directory_runs_every_time_gcc_only(mini_pairs_x86, commands):
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    cfg = parse_config(MKDIR_PROFILE)
+    for _ in range(2):
+        assert run_functional(pair.target.normalized_text, pair, cfg)[0].is_pass
+    assert commands[MKDIR_STEP] == 2
+    assert len(BUILD_CACHE) == 0
+
+
+def test_build_cache_under_thread_contention():
+    cache = BuildCache(4)
+    errors: list[str] = []
+
+    def worker(n: int) -> None:
+        try:
+            for i in range(2000):
+                key = (n, i % 7)
+                cache.put(key, ("log", n, i))
+                got = cache.get(key)
+                if got is not None and got[1] != n:
+                    errors.append(f"{key} -> {got}")
+                if len(cache) > 4:
+                    errors.append(f"{len(cache)} entries")
+        except Exception as exc:  # noqa: BLE001 - a race shows up as any error
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(cache) == 4
+
+
+@needs_gcc
+def test_build_cache_entry_bound_holds_gcc_only(
+    mini_pairs_x86, lite_cfg, tmp_path, commands, monkeypatch
+):
+    monkeypatch.setattr(evaluation, "BUILD_CACHE", BuildCache(2))
+    pairs = []
+    for i in range(3):
+        pair = _sum_upto_with_driver(mini_pairs_x86, tmp_path, f"test{i}.c")
+        with open(pair.test_source_path, "a", encoding="utf-8") as fh:
+            fh.write(f"/* driver {i} */\n")  # three distinct keys
+        pairs.append(pair)
+    truth = pairs[0].target.normalized_text
+    for pair in pairs:
+        assert run_functional(truth, pair, lite_cfg)[0].is_pass
+    assert len(evaluation.BUILD_CACHE) == 2
+    assert commands[X86_DRIVER_STEP] == 3
+    run_functional(truth, pairs[1], lite_cfg)  # cached, now the most recent
+    assert commands[X86_DRIVER_STEP] == 3
+    run_functional(truth, pairs[0], lite_cfg)  # evicted; evicts pairs[2]
+    assert commands[X86_DRIVER_STEP] == 4
+    run_functional(truth, pairs[1], lite_cfg)
+    assert commands[X86_DRIVER_STEP] == 4
+    assert len(evaluation.BUILD_CACHE) == 2
 
 
 @needs_lite
