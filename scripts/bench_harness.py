@@ -32,7 +32,8 @@ median seconds of each ``toolrun.run_command`` step by template; and
 
 Each measurement runs in a fresh child process whose ``PYTHONPATH`` names
 one tree's ``src/``; both trees use this checkout's configs and fixtures.
-The output also holds the machine stamp.
+The output holds the machine stamp and each layer's results under
+``layers``.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ BUILD_CONFIG = ROOT / "configs" / "clang-lite.cfg"
 BUILD_SUITE = ROOT / "tests" / "fixtures" / "mini_suite"
 
 # in-process runs of each guest: prints {shape: best seconds}
-CHILD = """
+ARMVM_CHILD = """
 import json, sys, time
 from xisa import armvm
 out = {}
@@ -172,7 +173,7 @@ def run_vm(src: Path, guest: tuple) -> tuple[float, float]:
 def armvm_round(src: Path, guests: dict) -> dict:
     spec = json.dumps([(shape, guests[shape][0], guests[shape][1], IN_PROCESS_RUNS)
                        for shape in SHAPES])
-    proc = subprocess.run([sys.executable, "-c", CHILD, spec], env=child_env(src),
+    proc = subprocess.run([sys.executable, "-c", ARMVM_CHILD, spec], env=child_env(src),
                           capture_output=True, text=True, check=True)
     seconds = json.loads(proc.stdout)
     exit_wall, _ = run_vm(src, guests["exit"])

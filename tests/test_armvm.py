@@ -492,7 +492,7 @@ def test_armenc_guests_exit_code_and_steps(tmp_path, seed):
     for guest in guests(seed):
         path = tmp_path / f"{guest.name}.elf"
         path.write_bytes(guest.image)
-        # budgets twice the guest's length: an interpreter bug fails, never hangs
+        # twice the guest's length: a looping interpreter bug stops instead of hanging
         budget = 2 * guest.instructions
         assert armvm.run(str(path), max_steps=budget) == guest.exit_code, guest.name
         cpu = armvm.Cpu(*armvm.load_elf(str(path)))

@@ -196,7 +196,7 @@ def test_load_eval_suite_missing_test_named(lite_cfg, tmp_path):
 
 
 @needs_gcc
-def test_load_eval_suite_jobs_invariant_gcc_only(mini_pairs_x86, lite_cfg):
+def test_load_eval_suite_jobs_invariant_gcc_only(lite_cfg):
     parallel = load_eval_suite(FIXTURES / "mini_suite", IsaName.X86_64, lite_cfg, jobs=2)
     serial = load_eval_suite(FIXTURES / "mini_suite", IsaName.X86_64, lite_cfg, jobs=1)
     assert parallel == serial
