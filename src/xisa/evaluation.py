@@ -59,8 +59,6 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     formulation of H. Hyyrö ("A bit-vector algorithm for computing Levenshtein
     and Damerau edit distances", Nordic Journal of Computing 10(1), 2003).
     One Python integer holds a whole DP column as vertical +1/-1 deltas.
-    Patterns of at most TINY_PATTERN atoms look each column step up in a table
-    instead of computing it.
     """
     if a == b:
         return 0
@@ -78,89 +76,30 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
         lb -= 1
         if lb == start:
             return la - lb
-    pattern = b[start:lb]
-    m = lb - start
-    mask = (1 << m) - 1
-    if m <= TINY_PATTERN:
-        # the column state travels as one int, (mv << m | pv) << m, and each
-        # step is one table lookup with eq in the low m bits
-        key = pattern if type(pattern) is str else tuple(pattern)
-        peq = _TINY_MASKS.get(key)
-        if peq is None:
-            if len(_TINY_MASKS) >= TINY_MASKS_KEPT:
-                _TINY_MASKS.clear()
-            peq = _TINY_MASKS[key] = _match_masks(pattern)
-        get = peq.get
-        step = _COLUMN_STEPS[m]
-        s = mask << m
-        for atom in a[start:la]:
-            s = step[s | get(atom, 0)]
-        pv, mv = s >> m & mask, s >> 2 * m
-    else:
-        get = _match_masks(pattern).get
-        # Bit i of pv/mv: D[i+1][j] - D[i][j] is +1/-1 in the current column
-        # j.  d0: rows whose diagonal step is 0; ph and d0 & pv: rows whose
-        # step from column j-1 is +1 and -1 (ph already shifted down a row).
-        # "^ mask" stands in for "~" so every vector stays a non-negative int;
-        # bits above m - 1 are don't-cares, and masking pv alone keeps them
-        # from piling up.  mv stays below bit m: a carry into d0's bit m needs
-        # pv's bit m - 1 set, and ph's bit m needs it clear.
-        pv, mv = mask, 0
-        for atom in a[start:la]:
-            eq = get(atom, 0)
-            d0 = (((eq & pv) + pv) ^ pv) | eq | mv
-            ph = (mv | (d0 | pv) ^ mask) << 1 | 1
-            pv = ((d0 & pv) << 1 | (d0 | ph) ^ mask) & mask
-            mv = ph & d0
-    # the last column's deltas sum from D[0][n] = n down to D[m][n]
-    return la - start + pv.bit_count() - mv.bit_count()
-
-
-def _match_masks(pattern: Sequence) -> dict:
-    """Map each atom of pattern to a mask whose bit i is set where pattern[i] == atom."""
+    # bit i of peq[atom] is set where b[start + i] == atom
     peq: dict = {}
     get = peq.get
     bit = 1
-    for atom in pattern:
+    for atom in b[start:lb]:
         peq[atom] = get(atom, 0) | bit
         bit <<= 1
-    return peq
-
-
-# A pattern (the shorter side, stripped) of at most TINY_PATTERN atoms leaves
-# at most 3**m * 2**m distinct (pv, mv, eq) triples, so its column steps come
-# from a table filled on first use: the "Four Russians" idea of Masek and
-# Paterson ("A faster algorithm computing string edit distances", JCSS 20(1),
-# 1980) applied to one bit-vector column.  The match masks of such patterns
-# are kept too; the store is emptied when it reaches TINY_MASKS_KEPT entries.
-# Both maps are shared by all threads: an entry is written whole, and two
-# threads that miss the same key write equal values.
-TINY_PATTERN = 6
-TINY_MASKS_KEPT = 4096
-
-
-class _ColumnSteps(dict):
-    """Key (mv << m | pv) << m | eq to the next column's (mv << m | pv) << m,
-    for patterns of m atoms: the recurrence of the loop in ``levenshtein``."""
-
-    def __init__(self, m: int):
-        super().__init__()
-        self.m = m
-
-    def __missing__(self, key: int) -> int:
-        m = self.m
-        mask = (1 << m) - 1
-        eq, pv, mv = key & mask, key >> m & mask, key >> 2 * m
+    mask = bit - 1
+    # Bit i of pv/mv: D[i+1][j] - D[i][j] is +1/-1 in the current column j.
+    # d0: rows whose diagonal step is 0; ph and d0 & pv: rows whose step from
+    # column j-1 is +1 and -1 (ph already shifted down a row).  "^ mask" stands
+    # in for "~" so every vector stays a non-negative int; bits above m - 1
+    # are don't-cares, and masking pv alone keeps them from piling up.  mv
+    # stays below bit m: a carry into d0's bit m needs pv's bit m - 1 set,
+    # and ph's bit m needs it clear.
+    pv, mv = mask, 0
+    for atom in a[start:la]:
+        eq = get(atom, 0)
         d0 = (((eq & pv) + pv) ^ pv) | eq | mv
         ph = (mv | (d0 | pv) ^ mask) << 1 | 1
         pv = ((d0 & pv) << 1 | (d0 | ph) ^ mask) & mask
         mv = ph & d0
-        self[key] = value = (mv << m | pv) << m
-        return value
-
-
-_COLUMN_STEPS = tuple(_ColumnSteps(m) for m in range(TINY_PATTERN + 1))
-_TINY_MASKS: dict = {}
+    # the last column's deltas sum from D[0][n] = n down to D[m][n]
+    return la - start + pv.bit_count() - mv.bit_count()
 
 
 # --- outcome types -----------------------------------------------------------

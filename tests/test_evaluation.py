@@ -174,44 +174,6 @@ def test_levenshtein_line_atoms_match_dp(pair):
     assert levenshtein(a, b) == dp_levenshtein(a, b)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    a=st.lists(st.sampled_from(_LINES), max_size=12),
-    b=st.lists(st.sampled_from(_LINES), max_size=evaluation.TINY_PATTERN + 2),
-)
-def test_levenshtein_tiny_patterns_match_dp(a, b):
-    """Patterns on both sides of TINY_PATTERN, as lists, tuples and strings."""
-    expected = dp_levenshtein(a, b)
-    assert levenshtein(a, b) == expected
-    assert levenshtein(tuple(b), a) == expected
-    letter = {line: chr(ord("a") + i) for i, line in enumerate(_LINES)}
-    assert levenshtein("".join(map(letter.get, a)), "".join(map(letter.get, b))) == expected
-
-
-def test_column_steps_keep_pv_and_mv_in_their_fields():
-    for m in range(evaluation.TINY_PATTERN + 1):
-        steps = evaluation._ColumnSteps(m)
-        mask = (1 << m) - 1
-        for state in range(1 << 2 * m):
-            pv, mv = state & mask, state >> m
-            if pv & mv:
-                continue
-            for eq in range(1 << m):
-                value = steps[state << m | eq]
-                assert value & mask == 0 and value >> 3 * m == 0
-                assert (value >> m) & (value >> 2 * m) == 0
-
-
-def test_tiny_pattern_masks_store_stays_bounded(monkeypatch):
-    monkeypatch.setattr(evaluation, "TINY_MASKS_KEPT", 8)
-    monkeypatch.setattr(evaluation, "_TINY_MASKS", {})
-    words = [x + y + z for x in "abc" for y in "abc" for z in "abc"]
-    for word in words + words:
-        text = "x" + word[::-1] + word + "y"
-        assert levenshtein(text, word) == dp_levenshtein(text, word)
-        assert 0 < len(evaluation._TINY_MASKS) <= 8
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     prefix=st.text(alphabet="abc", max_size=80),
