@@ -292,7 +292,8 @@ def load_eval_suite(
         if not (entry / "test.c").is_file():
             raise LayoutError(entry.name, "missing test.c")
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        # map yields in submission order, so the list is sorted for every jobs
+        # map yields in submission order, so the list is sorted for every jobs;
+        # when an entry raises, map cancels the entries no worker has started
         return list(pool.map(
             lambda entry: compile_pair(
                 entry / "func.c",

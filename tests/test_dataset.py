@@ -203,6 +203,32 @@ def test_load_eval_suite_jobs_invariant_gcc_only(lite_cfg):
     assert [p.pair_id for p in serial] == sorted(p.pair_id for p in serial)
 
 
+@needs_gcc
+def test_load_eval_suite_stops_at_first_failure_gcc_only(lite_cfg, tmp_path, monkeypatch):
+    import xisa.dataset as dataset
+
+    suite = tmp_path / "suite"
+    for i in range(8):
+        entry = suite / f"p{i}"
+        entry.mkdir(parents=True)
+        body = "int broken( {\n" if i == 0 else f"int f{i}(void){{return {i};}}\n"
+        (entry / "func.c").write_text(body)
+        (entry / "test.c").write_text("int main(void){return 0;}\n")
+    compiled = set()
+    real = dataset.run_command
+
+    def counting(template, mapping, **kwargs):
+        compiled.add(Path(mapping["input"]).parent.name)
+        return real(template, mapping, **kwargs)
+
+    monkeypatch.setattr(dataset, "run_command", counting)
+    with pytest.raises(CompileFailed):
+        load_eval_suite(suite, IsaName.X86_64, lite_cfg, jobs=1)
+    # p0 fails; the one worker may already have taken p1, but nothing after it
+    assert "p0" in compiled
+    assert compiled <= {"p0", "p1"}
+
+
 @needs_lite
 def test_repo_mini_suite_loads(mini_pairs):
     assert len(mini_pairs) >= 10
