@@ -17,6 +17,10 @@ armvm layer:
 - peak RSS of a ``python -m xisa.armvm`` child on the straight guest,
   largest of the rounds.
 
+Beside each head/baseline ratio stands each tree's spread over the rounds:
+its largest per-round value over its smallest.  A ratio further from 1 than
+the spreads can be told from noise; one inside them cannot.
+
 Every run's exit code is checked against the guest's.  The guests are those
 of perfbench's ``armvm`` workload, at its sizes, from ``perfbench/armenc.py``
 loaded by path.
@@ -265,6 +269,12 @@ def main(argv: list[str] | None = None) -> int:
     def ratio(key: str, layer: dict) -> float:
         return round(layer["head"][key] / layer["baseline"][key], 3)
 
+    def beside_spread(head_over_baseline: float, per_round) -> dict:
+        """The ratio, and each tree's max/min over rounds of ``per_round(round)``."""
+        return {"ratio": head_over_baseline, "spread": {
+            name: round(max(map(per_round, rounds)) / min(map(per_round, rounds)), 3)
+            for name, rounds in armvm_rounds.items()}}
+
     report = {
         "machine": stamp,
         "rounds": ROUNDS,
@@ -280,11 +290,15 @@ def main(argv: list[str] | None = None) -> int:
                 "results": armvm,
                 "head_over_baseline": {
                     "minstr_per_s": {
-                        shape: round(armvm["head"]["minstr_per_s"][shape]
-                                     / armvm["baseline"]["minstr_per_s"][shape], 3)
+                        shape: beside_spread(
+                            round(armvm["head"]["minstr_per_s"][shape]
+                                  / armvm["baseline"]["minstr_per_s"][shape], 3),
+                            lambda r, shape=shape: r["seconds"][shape])
                         for shape in SHAPES},
-                    "exit_guest_wall_s": ratio("exit_guest_wall_s", armvm),
-                    "straight_peak_rss_mb": ratio("straight_peak_rss_mb", armvm),
+                    "exit_guest_wall_s": beside_spread(
+                        ratio("exit_guest_wall_s", armvm), lambda r: r["exit_wall_s"]),
+                    "straight_peak_rss_mb": beside_spread(
+                        ratio("straight_peak_rss_mb", armvm), lambda r: r["straight_rss_mb"]),
                 },
             },
             "build": {

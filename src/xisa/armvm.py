@@ -4,8 +4,9 @@ Covers the instruction subset emitted by -O0 compilers for freestanding
 integer C code: the full data-processing class with all condition codes and
 shifter operands, multiplies, word/byte/halfword loads and stores, block
 transfers, branches, BX, and the EABI exit/write syscalls.  Anything outside
-the subset stops execution loudly with a real signal so a harness above can
-classify the outcome, never silently misexecutes.
+the subset stops execution loudly, never silently misexecutes: ``run``
+raises ``GuestFault``, and the command line dies by the fault's real signal
+so a harness above can classify the outcome.
 
 The decoder follows the ARM Architecture Reference Manual's pseudocode
 helpers, each written once: ConditionPassed (``_CONDITIONS``), DecodeImmShift
@@ -39,7 +40,8 @@ RRX = 4  # shift type beside LSL/LSR/ASR/ROR (0-3), as DecodeImmShift returns it
 
 
 class GuestFault(Exception):
-    """A fault that ends the guest: ``run`` reports it and dies by ``signo``."""
+    """A fault that ends the guest.  ``run`` raises it; ``main`` reports it
+    and dies by ``signo``, as a user-mode emulator would."""
 
     signo: signal.Signals
 
@@ -594,9 +596,8 @@ class Cpu:
 
 
 def run(path: str, max_steps: int = 0) -> int:
-    """Execute the binary; returns the guest exit code.  Faults kill the
-    process with the corresponding real signal, mirroring user-mode emulators.
-    """
+    """Execute the binary; returns the guest exit code.  A fault, an exhausted
+    budget included, propagates as ``GuestFault``."""
     mem, entry = load_elf(path)
     cpu = Cpu(mem, entry)
     cached, fetch = mem.code.get, cpu.fetch
@@ -611,11 +612,6 @@ def run(path: str, max_steps: int = 0) -> int:
         raise BudgetExhausted(max_steps)
     except GuestExit as exit_info:
         return exit_info.code
-    except GuestFault as fault:
-        print(f"armvm: {fault}", file=sys.stderr)
-        sys.stderr.flush()
-        os.kill(os.getpid(), fault.signo)
-    raise AssertionError("unreachable")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -628,6 +624,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args.binary, max_steps=args.max_steps)
+    except GuestFault as fault:
+        print(f"armvm: {fault}", file=sys.stderr)
+        sys.stderr.flush()
+        os.kill(os.getpid(), fault.signo)
+        raise AssertionError("unreachable") from fault
     except (ValueError, OSError) as exc:
         print(f"armvm: {exc}", file=sys.stderr)
         return 125

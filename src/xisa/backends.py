@@ -57,11 +57,10 @@ class Candidate:
 class TranspileResponse:
     candidates: tuple[Candidate, ...]
     backend_id: str
-    latency_ms: float
 
 
 class Backend:
-    """Shared transpile template: context check, timing, beam clamping."""
+    """Shared transpile template: context check and beam clamping."""
 
     backend_id = "base"
 
@@ -73,13 +72,11 @@ class Backend:
             n = token_count(req.source_text, self.tokenizer_spec)
             if n > req.params.context_window:
                 raise ContextOverflow(n, req.params.context_window)
-        start = time.perf_counter()
         candidates = self._generate(req)
-        latency_ms = (time.perf_counter() - start) * 1000.0
         if not candidates:
             raise BackendRefused(f"{self.backend_id}: no candidates returned")
         clamped = tuple(candidates[: req.params.num_beams])
-        return TranspileResponse(clamped, self.backend_id, latency_ms)
+        return TranspileResponse(clamped, self.backend_id)
 
     def _generate(self, req: TranspileRequest) -> list[Candidate]:
         raise NotImplementedError

@@ -16,8 +16,6 @@ import os
 import signal as signal_module
 import subprocess
 import tempfile
-import threading
-from collections import OrderedDict
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -161,7 +159,6 @@ class EvalResult:
     error_class: ErrorClass | None
     candidate_index_used: int
     logs: str = ""
-    latency_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.exact_match and self.edit_distance != 0:
@@ -229,84 +226,67 @@ def _signal_name(code: int) -> str:
         return f"SIG{code}"
 
 
-# Build steps that name neither {candidate} nor {output} (the test driver,
-# start stubs) give the same files for the same inputs, so each distinct one
-# runs once per process: a constructive trace in the sense of Mokhov, Mitchell
-# & Peyton Jones, "Build Systems a la Carte" (ICFP 2018).
+def _log_line(command: str, proc: subprocess.CompletedProcess, td: str) -> str:
+    # temp paths vary run to run; records must stay byte-deterministic
+    return f"$ {command}\n{proc.stdout}{proc.stderr}".rstrip().replace(td, "{tmpdir}")
+
+
+# The assemble_link steps that name neither {candidate} nor {output} (the test
+# driver, start stubs) are the pair's driver build.  It gives the same files
+# for the same inputs, so each distinct one runs once per process.
 BUILD_CACHE_ENTRIES = 256
 
 
-class BuildCache:
-    """Bounded LRU map from a build step's key to its log line and files.
+def _is_driver_step(step: str) -> bool:
+    return "{candidate}" not in step and "{output}" not in step
 
-    The lock covers the dict operations only: two threads missing the same
-    key both run the step, and the later result replaces the earlier.
+
+@functools.lru_cache(maxsize=BUILD_CACHE_ENTRIES)
+def build_driver(
+    steps: tuple[str, ...], test_src: str, opt: str, timeout: float, digests: tuple
+) -> tuple[tuple[str, ...], tuple[tuple[str, int, bytes | None], ...]]:
+    """Run the driver steps in order in a {tmpdir} of their own.
+
+    Returns each step's log line, with that directory written as {tmpdir},
+    and the (relative path, mode, bytes) of everything the steps left there,
+    bytes None for a directory.  ``digests`` (the SHA-256 of each file the
+    steps' command lines name) only keys the cache.  A failing or timed-out
+    step raises ToolchainError, which is never cached.
     """
-
-    def __init__(self, entries: int):
-        self.entries = entries
-        self._items: OrderedDict[tuple, tuple] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> tuple | None:
-        with self._lock:
-            value = self._items.get(key)
-            if value is not None:
-                self._items.move_to_end(key)
-            return value
-
-    def put(self, key: tuple, value: tuple) -> None:
-        with self._lock:
-            self._items[key] = value
-            self._items.move_to_end(key)
-            while len(self._items) > self.entries:
-                self._items.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._items.clear()
-
-    def __len__(self) -> int:
-        return len(self._items)
+    lines = []
+    with tempfile.TemporaryDirectory(prefix="xisa-driver-") as td:
+        mapping = {"test_src": test_src, "opt": opt, "tmpdir": td}
+        for step in steps:
+            try:
+                proc = toolrun.run_command(step, mapping, timeout)
+            except subprocess.TimeoutExpired:
+                raise ToolchainError(f"build step timed out: {step}", command=step) from None
+            if proc.returncode != 0:
+                raise ToolchainError(
+                    f"test-driver build failed ({proc.returncode}): "
+                    f"{(proc.stderr + proc.stdout)[:400]}",
+                    command=step,
+                )
+            lines.append(_log_line(step, proc, td))
+        files = tuple(
+            (path.relative_to(td).as_posix(), path.stat().st_mode & 0o7777,
+             None if path.is_dir() else path.read_bytes())
+            for path in sorted(Path(td).rglob("*"))
+        )
+    return tuple(lines), files
 
 
-BUILD_CACHE = BuildCache(BUILD_CACHE_ENTRIES)
-
-
-def _step_key(step: str, mapping: dict[str, str], td: str) -> tuple:
-    """The template, the argv with the run's tmpdir written as {tmpdir}, and
-    the SHA-256 of each argv token naming an existing file (None otherwise)."""
-    argv = toolrun.render_command(step, mapping)
+def _driver_key(steps: tuple[str, ...], pair: TranspilePair, cfg: ToolchainConfig) -> tuple:
+    """``build_driver``'s arguments: the steps, {test_src}, {opt},
+    timeout_compile, and the SHA-256 of each file the steps' command lines
+    name when rendered without {tmpdir} (None for a token naming none)."""
+    mapping = {"test_src": pair.test_source_path, "opt": cfg.optimization_level}
     digests = tuple(
         hashlib.sha256(Path(tok).read_bytes()).hexdigest() if os.path.isfile(tok) else None
-        for tok in argv
+        for step in steps
+        for tok in toolrun.render_command(step, mapping)
     )
-    return step, tuple(tok.replace(td, "{tmpdir}") for tok in argv), digests
-
-
-def _tmpdir_entries(td: str) -> dict[str, tuple | None]:
-    """Each entry of td: (inode, size, mtime) for a regular file, else None."""
-    out: dict[str, tuple | None] = {}
-    with os.scandir(td) as entries:
-        for e in entries:
-            st = e.stat(follow_symlinks=False)
-            regular = e.is_file(follow_symlinks=False)
-            out[e.name] = (st.st_ino, st.st_size, st.st_mtime_ns) if regular else None
-    return out
-
-
-def _created_files(td: str, before: dict[str, tuple | None]) -> tuple | None:
-    """(name, mode, bytes) of each file a step created or rewrote in td; None
-    when td then holds anything but regular files or lost a file."""
-    after = _tmpdir_entries(td)
-    if None in after.values() or before.keys() - after.keys():
-        return None
-    files = []
-    for name in sorted(after):
-        if after[name] != before.get(name):
-            path = Path(td) / name
-            files.append((name, path.stat().st_mode & 0o7777, path.read_bytes()))
-    return tuple(files)
+    return steps, pair.test_source_path, cfg.optimization_level, cfg.timeout_compile, digests
 
 
 def run_functional(
@@ -319,20 +299,19 @@ def run_functional(
     Candidate faults map to TestOutcome; broken infrastructure (missing tools,
     failing test-driver builds) raises ToolchainError instead so harness bugs
     are never scored as translation failures.  A failing build step's
-    placeholders alone decide which (see ``IsaCommands``).  A step that names
-    neither {candidate} nor {output} and succeeded before with the same key
-    (``_step_key``) is not run again: ``BUILD_CACHE`` puts back the files it
-    created and its log line.  Failing steps, and steps that leave anything
-    but regular files in the tmpdir, are never cached.
+    placeholders alone decide which (see ``IsaCommands``).  At the first step
+    that names neither {candidate} nor {output}, ``build_driver`` runs all
+    such steps, in order, in a directory of their own, or returns what it
+    built before for the same key; their files are copied into this run's
+    {tmpdir}, and each step's log line lands at that step's place in the
+    logs.  So a driver step may read only files named on its command line or
+    written by earlier driver steps, never a candidate step's output.
     """
     if not pair.test_source_path:
         raise ValueError(f"pair {pair.pair_id} has no test program")
     cmds = cfg.require(pair.target_isa, "assemble_link", "emulate")
+    driver = tuple(step for step in cmds.assemble_link if _is_driver_step(step))
     logs: list[str] = []
-
-    def scrub(text: str, td: str) -> str:
-        # temp paths vary run to run; records must stay byte-deterministic
-        return text.replace(td, "{tmpdir}")
 
     with tempfile.TemporaryDirectory(prefix="xisa-run-") as td:
         candidate_path = Path(td) / "candidate.s"
@@ -347,47 +326,34 @@ def run_functional(
             "opt": cfg.optimization_level,
         }
 
+        driver_lines = None
         for step in cmds.assemble_link:
-            key = None
-            if "{candidate}" not in step and "{output}" not in step:
-                key = _step_key(step, mapping, td)
-                cached = BUILD_CACHE.get(key)
-                if cached is not None:
-                    line, files = cached
-                    for name, mode, data in files:
-                        (Path(td) / name).write_bytes(data)
-                        (Path(td) / name).chmod(mode)
-                    logs.append(line)
-                    continue
-                before = _tmpdir_entries(td)
+            if _is_driver_step(step):
+                if driver_lines is None:
+                    lines, files = build_driver(*_driver_key(driver, pair, cfg))
+                    for rel, mode, data in files:
+                        path = Path(td) / rel
+                        if data is None:
+                            path.mkdir(exist_ok=True)
+                        else:
+                            path.write_bytes(data)
+                        path.chmod(mode)
+                    driver_lines = iter(lines)
+                logs.append(next(driver_lines))
+                continue
             try:
                 proc = toolrun.run_command(step, mapping, cfg.timeout_compile)
             except subprocess.TimeoutExpired:
                 if "{candidate}" in step:
                     logs.append(f"$ {step}\n(timed out)")
-                    return (
-                        TestOutcome(OutcomeStatus.ASSEMBLE_ERROR),
-                        "\n".join(logs),
-                    )
-                raise ToolchainError(
-                    f"build step timed out: {step}", command=step
-                ) from None
-            logs.append(scrub(f"$ {step}\n{proc.stdout}{proc.stderr}".rstrip(), td))
+                    return TestOutcome(OutcomeStatus.ASSEMBLE_ERROR), "\n".join(logs)
+                raise ToolchainError(f"build step timed out: {step}", command=step) from None
+            logs.append(_log_line(step, proc, td))
             if proc.returncode == 0:
-                if key is not None:
-                    files = _created_files(td, before)
-                    if files is not None:
-                        BUILD_CACHE.put(key, (logs[-1], files))
                 continue
             if "{candidate}" in step:
                 return TestOutcome(OutcomeStatus.ASSEMBLE_ERROR), "\n".join(logs)
-            if "{output}" in step:
-                return TestOutcome(OutcomeStatus.LINK_ERROR), "\n".join(logs)
-            raise ToolchainError(
-                f"test-driver build failed ({proc.returncode}): "
-                f"{(proc.stderr + proc.stdout)[:400]}",
-                command=step,
-            )
+            return TestOutcome(OutcomeStatus.LINK_ERROR), "\n".join(logs)
 
         try:
             proc = toolrun.run_command(
@@ -396,7 +362,7 @@ def run_functional(
         except subprocess.TimeoutExpired:
             logs.append(f"$ {cmds.emulate}\n(timed out after {cfg.timeout_run}s)")
             return TestOutcome(OutcomeStatus.TIMEOUT), "\n".join(logs)
-        logs.append(scrub(f"$ {cmds.emulate}\n{proc.stdout}{proc.stderr}".rstrip(), td))
+        logs.append(_log_line(cmds.emulate, proc, td))
         rc = proc.returncode
         if rc == 0:
             return TestOutcome.passed(), "\n".join(logs)
@@ -531,7 +497,6 @@ def evaluate_pair(
         error_class=error_class,
         candidate_index_used=chosen_index,
         logs=logs,
-        latency_ms=response.latency_ms,
     )
 
 
@@ -622,7 +587,6 @@ def result_to_record(result: EvalResult) -> dict:
         "error_class": result.error_class.value if result.error_class else None,
         "candidate_index_used": result.candidate_index_used,
         "logs": result.logs,
-        "latency_ms": result.latency_ms,
     }
 
 
@@ -640,7 +604,6 @@ def record_to_result(record: dict) -> EvalResult:
         error_class=ErrorClass(record["error_class"]) if record["error_class"] else None,
         candidate_index_used=record["candidate_index_used"],
         logs=record.get("logs", ""),
-        latency_ms=record.get("latency_ms", 0.0),
     )
 
 

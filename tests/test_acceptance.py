@@ -26,10 +26,10 @@ from xisa.cli import main as cli_main
 from xisa.core import GenerationParams, IsaName
 from xisa.dataset import load_eval_suite
 from xisa.evaluation import (
-    BUILD_CACHE,
     ErrorClass,
     OutcomeStatus,
     TestOutcome,
+    build_driver,
     classify_error,
     confusion_matrix,
     evaluate_suite,
@@ -333,7 +333,7 @@ def test_criterion_10_eval_runs_byte_identical(tmp_path):
         (d / "test.c").write_text(
             f"int f(int x);\nint main(void) {{ return {check} ? 0 : 1; }}\n"
         )
-    BUILD_CACHE.clear()  # the first run builds cold, the second from the cache
+    build_driver.cache_clear()  # the first run builds cold, the second from the cache
     outputs = []
     for name in ("a.ndjson", "b.ndjson"):
         out = tmp_path / name
@@ -346,7 +346,7 @@ def test_criterion_10_eval_runs_byte_identical(tmp_path):
         outputs.append(out)
 
     assert comparable_bytes(outputs[0]) == comparable_bytes(outputs[1])
-    print(PASS.format(10, "two eval runs produce byte-identical result records (timestamps/latency excluded)"))
+    print(PASS.format(10, "two eval runs produce byte-identical result records (run timestamps excluded)"))
 
 
 def comparable_bytes(path: Path) -> bytes:
@@ -355,14 +355,13 @@ def comparable_bytes(path: Path) -> bytes:
         record = json.loads(line)
         if record.get("schema") == "xisa.run/v1":
             continue  # run records carry timestamps by design
-        record.pop("latency_ms", None)
         kept.append(json.dumps(record, sort_keys=True))
     return "\n".join(kept).encode()
 
 
 @needs_gcc
 def test_criterion_10_gcc_only_jobs_invariant(tmp_path):
-    BUILD_CACHE.clear()  # the first run builds cold, the second from the cache
+    build_driver.cache_clear()  # the first run builds cold, the second from the cache
     outputs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}.ndjson"
@@ -375,4 +374,4 @@ def test_criterion_10_gcc_only_jobs_invariant(tmp_path):
         outputs.append(out)
 
     assert comparable_bytes(outputs[0]) == comparable_bytes(outputs[1])
-    print(PASS.format(10, "gcc-only eval records identical over --jobs 1 and 2 (timestamps/latency excluded)"))
+    print(PASS.format(10, "gcc-only eval records identical over --jobs 1 and 2 (run timestamps excluded)"))

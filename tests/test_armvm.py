@@ -513,6 +513,14 @@ def test_instruction_budget_kills_with_sigkill(tmp_path):
     assert "armvm: instruction budget of 10 exhausted" in proc.stderr
 
 
+def test_instruction_budget_raises_in_process(tmp_path):
+    path = tmp_path / "loop.elf"
+    path.write_bytes(guests(0)[1].image)
+    # the caller gets the fault; only main kills its own process
+    with pytest.raises(armvm.BudgetExhausted, match="budget of 10 exhausted"):
+        armvm.run(str(path), max_steps=10)
+
+
 # --- single steps ---------------------------------------------------------------
 
 def step(word: int, regs: dict[int, int] | None = None, flags: str = "") -> armvm.Cpu:

@@ -55,7 +55,6 @@ def test_identity_backend_returns_source():
     response = backend.transpile(req("movl $1, %eax\n"))
     assert [c.text for c in response.candidates] == ["movl $1, %eax\n"]
     assert response.backend_id == "identity"
-    assert response.latency_ms >= 0.0
 
 
 def test_identity_deterministic():
@@ -228,7 +227,6 @@ def test_remote_backend_canned_completion(stub_server):
     backend = RemoteBackend(stub_server, max_retries=2, timeout_s=5)
     response = backend.transpile(req("movl $5, %eax\nret\n"))
     assert response.candidates[0].text == "mov r0, #5\nbx lr\n"
-    assert response.latency_ms > 0.0
     seen = _StubHandler.requests_seen[0]
     assert seen["path"] == "/v1/completions"
     assert seen["body"]["temperature"] == 0.0

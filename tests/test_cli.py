@@ -246,7 +246,6 @@ def test_eval_outputs_are_atomic_and_deterministic(tmp_path):
             record = json.loads(line)
             if record.get("schema") == "xisa.run/v1":
                 continue
-            record.pop("latency_ms", None)
             records.append(record)
         return records
 

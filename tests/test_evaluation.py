@@ -4,8 +4,6 @@ import collections
 import dataclasses
 import json
 import shutil
-import sys
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -22,12 +20,11 @@ from xisa.core import GenerationParams, IsaName, parse_config
 from xisa.dataset import AsmSide, TranspilePair, compile_pair
 from xisa.errors import MismatchedSuites, ToolchainError
 from xisa.evaluation import (
-    BUILD_CACHE,
-    BuildCache,
     ErrorClass,
     EvalResult,
     OutcomeStatus,
     TestOutcome,
+    build_driver,
     classify_error,
     confusion_matrix,
     evaluate_pair,
@@ -505,7 +502,7 @@ def test_replay_backend_full_marks_and_parallel_agreement(mini_pairs, lite_cfg):
     strip = lambda r: {  # noqa: E731
         k: v
         for k, v in result_to_record(r).items()
-        if k not in ("latency_ms", "logs")
+        if k != "logs"
     }
     assert [strip(r) for r in serial] == [strip(r) for r in parallel]
 
@@ -532,7 +529,6 @@ def test_result_record_roundtrip():
         error_class=ErrorClass.ADDRESSING,
         candidate_index_used=1,
         logs="...",
-        latency_ms=1.5,
     )
     assert record_to_result(result_to_record(result)) == result
 
@@ -657,9 +653,7 @@ def test_link_error_records_are_deterministic_gcc_only(mini_pairs_x86, x86_profi
     for profile, cfg in x86_profiles.items():
         records = []
         for _ in range(2):
-            record = result_to_record(evaluate_pair(pair, backend, GenerationParams(), cfg))
-            record.pop("latency_ms")
-            records.append(record)
+            records.append(result_to_record(evaluate_pair(pair, backend, GenerationParams(), cfg)))
         assert records[0]["outcome"] == "link_error", profile
         assert "sum_upto" in records[0]["logs"], profile
         assert records[0] == records[1], profile
@@ -676,7 +670,7 @@ def test_broken_test_driver_is_toolchain_error_gcc_only(mini_pairs_x86, x86_prof
             run_functional(pair.target.normalized_text, broken_pair, cfg)
 
 
-# --- build-step cache ------------------------------------------------------------
+# --- driver build cache ----------------------------------------------------------
 
 X86_DRIVER_STEP = "gcc {opt} -c {test_src} -o {tmpdir}/test.o"
 
@@ -692,7 +686,7 @@ def commands(monkeypatch):
         return real(template, mapping, timeout)
 
     monkeypatch.setattr(toolrun, "run_command", counting)
-    BUILD_CACHE.clear()
+    build_driver.cache_clear()
     return calls
 
 
@@ -731,7 +725,7 @@ def test_cold_and_warm_cache_give_equal_results_gcc_only(
     truth = pair.target.normalized_text
     candidate = truth if kind == "truth" else _x86_broken(pair, kind)
     for profile, cfg in x86_profiles.items():
-        BUILD_CACHE.clear()
+        build_driver.cache_clear()
         cold = run_functional(candidate, pair, cfg)
         run_functional(truth, pair, cfg)  # warms the cache for every kind
         compiled = commands[X86_DRIVER_STEP]
@@ -761,7 +755,7 @@ def test_failing_driver_build_is_never_cached_gcc_only(mini_pairs_x86, lite_cfg,
         with pytest.raises(ToolchainError, match="test-driver build failed"):
             run_functional(pair.target.normalized_text, pair, lite_cfg)
     assert commands[X86_DRIVER_STEP] == 2
-    assert len(BUILD_CACHE) == 0
+    assert build_driver.cache_info().currsize == 0
 
 
 # a step that reads the candidate's object without naming {candidate}
@@ -778,19 +772,18 @@ emulate = {{input}}
 
 
 @needs_gcc
-def test_step_reading_a_tmpdir_file_is_keyed_by_its_content_gcc_only(mini_pairs_x86, commands):
+def test_driver_step_reading_a_candidate_file_is_toolchain_error_gcc_only(
+    mini_pairs_x86, commands
+):
     pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
     cfg = parse_config(COPY_PROFILE)
-    truth = pair.target.normalized_text
-    off_by_one = _x86_broken(pair, "off_by_one")
-    assert run_functional(truth, pair, cfg)[0].is_pass
-    assert run_functional(off_by_one, pair, cfg)[0].describe() == "test_failed(1)"
+    # the driver build runs in a directory of its own, with no candidate.o
+    for _ in range(2):
+        with pytest.raises(ToolchainError, match="test-driver build failed"):
+            run_functional(pair.target.normalized_text, pair, cfg)
     assert commands[COPY_STEP] == 2
-    # each candidate's copy now comes from its own entry
-    assert run_functional(truth, pair, cfg)[0].is_pass
-    assert run_functional(off_by_one, pair, cfg)[0].describe() == "test_failed(1)"
-    assert commands[COPY_STEP] == 2
-    assert commands[X86_DRIVER_STEP] == 1
+    assert commands[X86_DRIVER_STEP] == 0
+    assert build_driver.cache_info().currsize == 0
 
 
 MKDIR_STEP = "mkdir {tmpdir}/objs"
@@ -806,52 +799,47 @@ emulate = {{input}}
 
 
 @needs_gcc
-def test_step_leaving_a_directory_runs_every_time_gcc_only(mini_pairs_x86, commands):
+def test_driver_step_making_a_directory_is_cached_gcc_only(mini_pairs_x86, commands):
     pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
     cfg = parse_config(MKDIR_PROFILE)
-    for _ in range(2):
-        assert run_functional(pair.target.normalized_text, pair, cfg)[0].is_pass
-    assert commands[MKDIR_STEP] == 2
-    assert len(BUILD_CACHE) == 0
+    results = [run_functional(pair.target.normalized_text, pair, cfg) for _ in range(2)]
+    assert results[0][0].is_pass, results[0][1]
+    assert results[1] == results[0]
+    assert commands[MKDIR_STEP] == 1
+    assert commands["gcc {opt} -c {test_src} -o {tmpdir}/objs/test.o"] == 1
 
 
-def test_build_cache_under_thread_contention():
-    cache = BuildCache(4)
-    errors: list[str] = []
+FAILING_DRIVER_STEP = "false {test_src}"
+SPLIT_DRIVER_PROFILE = f"""
+[x86_64]
+assemble_link =
+    {X86_DRIVER_STEP}
+    gcc -c {{candidate}} -o {{tmpdir}}/candidate.o
+    {FAILING_DRIVER_STEP}
+    gcc {{tmpdir}}/candidate.o {{tmpdir}}/test.o -o {{output}}
+emulate = {{input}}
+"""
 
-    def worker(n: int) -> None:
-        try:
-            for i in range(2000):
-                key = (n, i % 7)
-                cache.put(key, ("log", n, i))
-                got = cache.get(key)
-                if got is not None and got[1] != n:
-                    errors.append(f"{key} -> {got}")
-                if len(cache) > 4:
-                    errors.append(f"{len(cache)} entries")
-        except Exception as exc:  # noqa: BLE001 - a race shows up as any error
-            errors.append(repr(exc))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(cache) == 4
+@needs_gcc
+def test_later_driver_step_fails_before_the_candidate_assembles_gcc_only(
+    mini_pairs_x86, commands
+):
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    cfg = parse_config(SPLIT_DRIVER_PROFILE)
+    # the whole driver build runs at its first step, ahead of the candidate
+    with pytest.raises(ToolchainError, match="test-driver build failed"):
+        run_functional(X86_SUM_UPTO_UNASSEMBLABLE, pair, cfg)
+    assert commands[FAILING_DRIVER_STEP] == 1
+    assert commands["gcc -c {candidate} -o {tmpdir}/candidate.o"] == 0
 
 
 @needs_gcc
 def test_build_cache_entry_bound_holds_gcc_only(
     mini_pairs_x86, lite_cfg, tmp_path, commands, monkeypatch
 ):
-    monkeypatch.setattr(evaluation, "BUILD_CACHE", BuildCache(2))
+    bounded = lru_cache(maxsize=2)(build_driver.__wrapped__)
+    monkeypatch.setattr(evaluation, "build_driver", bounded)
     pairs = []
     for i in range(3):
         pair = _sum_upto_with_driver(mini_pairs_x86, tmp_path, f"test{i}.c")
@@ -861,7 +849,7 @@ def test_build_cache_entry_bound_holds_gcc_only(
     truth = pairs[0].target.normalized_text
     for pair in pairs:
         assert run_functional(truth, pair, lite_cfg)[0].is_pass
-    assert len(evaluation.BUILD_CACHE) == 2
+    assert bounded.cache_info().currsize == 2
     assert commands[X86_DRIVER_STEP] == 3
     run_functional(truth, pairs[1], lite_cfg)  # cached, now the most recent
     assert commands[X86_DRIVER_STEP] == 3
@@ -869,7 +857,7 @@ def test_build_cache_entry_bound_holds_gcc_only(
     assert commands[X86_DRIVER_STEP] == 4
     run_functional(truth, pairs[1], lite_cfg)
     assert commands[X86_DRIVER_STEP] == 4
-    assert len(evaluation.BUILD_CACHE) == 2
+    assert bounded.cache_info().currsize == 2
 
 
 @needs_lite
