@@ -123,8 +123,9 @@ def test_criterion_3_token_reduction_positive(arm_corpus_units):
 
 # --- 4. harness self-test: ground-truth replay ------------------------------------
 
-def _replay_suite(cfg, results_sink: list, target: IsaName = IsaName.ARMV5) -> None:
-    pairs = load_eval_suite(FIXTURES / "mini_suite", target, cfg)
+def _replay_suite(cfg, results_sink: list, target: IsaName = IsaName.ARMV5,
+                  suite: str = "mini_suite") -> None:
+    pairs = load_eval_suite(FIXTURES / suite, target, cfg)
     assert len(pairs) >= 10
     results, summary = evaluate_suite(
         pairs, ReplayBackend(pairs), GenerationParams(), cfg, jobs=4
@@ -149,8 +150,9 @@ def test_criterion_4_gcc_only_ground_truth_replay(x86_profiles, _result_log):
     # x86_64 self-translation: the same harness path with only gcc installed,
     # under each shipped profile's [x86_64] section
     for cfg in x86_profiles.values():
-        _replay_suite(cfg, _result_log, IsaName.X86_64)
-    print(PASS.format(4, "x86_64 ground-truth replay scores 1.0/0/1.0 over the mini-suite with gcc only, under both profiles"))
+        for suite in ("mini_suite", "rule_suite"):
+            _replay_suite(cfg, _result_log, IsaName.X86_64, suite)
+    print(PASS.format(4, "x86_64 ground-truth replay scores 1.0/0/1.0 over the mini-suite and the rule suite with gcc only, under both profiles"))
 
 
 @pytest.mark.skipif(not HAVE_CROSS_GNU, reason="GNU cross toolchain + qemu not installed")

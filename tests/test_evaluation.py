@@ -659,6 +659,22 @@ def test_link_error_records_are_deterministic_gcc_only(mini_pairs_x86, x86_profi
         assert records[0] == records[1], profile
 
 
+# cstr_len through libc's strlen
+X86_CSTR_LEN_VIA_LIBC = ("\t.globl cstr_len\ncstr_len:\n\tsubq $8, %rsp\n"
+                         "\tcall strlen\n\taddq $8, %rsp\n\tret\n")
+
+
+@needs_gcc
+def test_libc_call_links_only_hosted_gcc_only(mini_pairs_x86, x86_profiles):
+    # clang-lite links freestanding, cross-gnu against a static libc
+    pair = next(p for p in mini_pairs_x86 if "strlen" in p.pair_id)
+    outcome, logs = run_functional(X86_CSTR_LEN_VIA_LIBC, pair, x86_profiles["clang-lite"])
+    assert outcome.describe() == "link_error", logs
+    assert "strlen" in logs
+    outcome, logs = run_functional(X86_CSTR_LEN_VIA_LIBC, pair, x86_profiles["cross-gnu"])
+    assert outcome.is_pass, logs
+
+
 @needs_gcc
 def test_broken_test_driver_is_toolchain_error_gcc_only(mini_pairs_x86, x86_profiles, tmp_path):
     pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
