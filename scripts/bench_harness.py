@@ -30,8 +30,8 @@ loaded by path.
 build layer (gcc only): ``mini_suite`` is loaded as x86_64 self-translation
 under each tree's own ``configs/clang-lite.cfg``, and each pair's ground
 truth is run through ``evaluation.run_functional`` ``BEAMS`` times in a row,
-as a beam list would be, in a fresh child per round, so every pair's first call starts cold and
-later calls show only reuse within the pair.  Reported: the median seconds
+as a beam list would be, in a fresh child per round, so every pair's first
+call starts cold and later calls show only reuse within the pair.  Reported: the median seconds
 per call over all rounds, for the first beam and for the later ones; the
 median seconds of each ``toolrun.run_command`` step by template, and of the
 link step (the step that names ``{output}``) whatever its template; and
