@@ -1,161 +1,48 @@
 #!/usr/bin/env python3
-"""Harness self-benchmark by layer: writes a ``BENCH_<pr>.json``.
+"""Harness self-benchmark, baseline against head: writes a ``BENCH_<pr>.json``.
 
     python3 scripts/bench_harness.py --baseline <git-rev> --output BENCH_<pr>.json
 
-Measures this checkout's ``src/`` and ``configs/`` beside those of the
-baseline git revision (exported with ``git archive`` into a temporary
-directory), alternating the two trees over ``ROUNDS`` rounds.
+Measures nothing itself.  It builds two throwaway trees in a temporary
+directory: the baseline revision's ``src/`` and ``configs/`` (from ``git
+archive``) and this checkout's own, each beside a copy of this checkout's
+``perfbench/`` and ``tests/fixtures/``.  The trees are copies, not symlinks,
+because perfbench finds its root from its own resolved path.
 
-armvm layer:
+In each tree it runs ``perfbench/run.py`` on every workload, at ``--trace 0``
+(the end-to-end metrics) and ``--trace 1`` (the per-layer metrics), over
+``ROUNDS`` rounds with the round number as seed and ``SECONDS`` per run,
+alternating which tree goes first.  One warm-up run per tree and workload
+comes first and is discarded.  It stops at the first run that exits non-zero
+or reports ``correct: false``.
 
-- in-process Minstr/s of ``armvm.run`` on each ``armenc`` guest shape
-  (exit, loop, straight, selfstore): each round runs each guest for
-  ``RUN_BUDGET_S`` of wall time, at least ``MIN_RUNS`` times, and keeps the
-  median run; the report gives the median over rounds;
-- wall seconds of a ``python -m xisa.armvm`` child on the exit guest, median
-  of the rounds: the fixed cost every emulated candidate pays;
-- peak RSS of a ``python -m xisa.armvm`` child on the straight guest,
-  largest of the rounds.
-
-Each head/baseline ratio stands beside each tree's median over the rounds
-and its spread: its largest per-round value over its smallest.  A ratio
-further from 1 than the spreads can be told from noise; one inside them
-cannot.
-
-Every run's exit code is checked against the guest's.  The guests are those
-of perfbench's ``armvm`` workload, at its sizes, from ``perfbench/armenc.py``
-loaded by path.
-
-build layer (gcc only): ``mini_suite`` is loaded as x86_64 self-translation
-under each tree's own ``configs/clang-lite.cfg``, and each pair's ground
-truth is run through ``evaluation.run_functional`` ``BEAMS`` times in a row,
-as a beam list would be, in a fresh child per round, so every pair's first
-call starts cold and later calls show only reuse within the pair.  Reported: the median seconds
-per call over all rounds, for the first beam and for the later ones; the
-median seconds of each ``toolrun.run_command`` step by template, and of the
-link step (the step that names ``{output}``) whatever its template; and
-``run_command`` calls per candidate.  Every call must pass.
-
-Each measurement runs in a fresh child process whose ``PYTHONPATH`` names
-one tree's ``src/``; both trees use this checkout's fixtures.
-The output holds the machine stamp and each layer's results under
-``layers``.
+For each metric the output holds each tree's median over the rounds, each
+tree's quartile distance (third quartile minus first), and the head/baseline
+ratio of the medians.  The ratio is ``inside_spread`` when it is no further
+from 1 than the larger of the two trees' quartile distance over the size of
+its median: such a ratio cannot be told from noise.
 """
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import io
 import json
 import os
 import platform
-import random
+import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SHAPES = ("exit", "loop", "straight", "selfstore")
-# the sizes of perfbench/armvm_guests.py
-LOOP_ITERATIONS = 7000
-STRAIGHT_LENGTH = 30000
-SELFSTORE_ITERATIONS = 12000
-SEED = 0  # of the guests' random programs
-
-ROUNDS = 7  # per tree, alternating
-RUN_BUDGET_S = 0.5  # in-process wall time per guest and round, in one child
-MIN_RUNS = 3  # per guest and round, however long a run takes
-BEAMS = 4  # run_functional calls per mini_suite pair and round
-BUILD_CONFIG = Path("configs") / "clang-lite.cfg"  # in each tree
-BUILD_SUITE = ROOT / "tests" / "fixtures" / "mini_suite"
-
-# in-process runs of each guest: prints {shape: median seconds}
-ARMVM_CHILD = """
-import json, statistics, sys, time
-from xisa import armvm
-budget, min_runs, guests = json.loads(sys.argv[1])
-out = {}
-for shape, path, code in guests:
-    runs = []
-    deadline = time.perf_counter() + budget
-    while len(runs) < min_runs or time.perf_counter() < deadline:
-        start = time.perf_counter()
-        got = armvm.run(path)
-        runs.append(time.perf_counter() - start)
-        if got != code:
-            sys.exit(f"{shape}: exit code {got}, expected {code}")
-    out[shape] = statistics.median(runs)
-print(json.dumps(out))
-"""
-
-
-# one pass over the suite: prints every call's seconds and every step's
-BUILD_CHILD = """
-import json, sys, time
-from xisa import core, dataset, evaluation, toolrun
-config, suite, beams = json.loads(sys.argv[1])
-cfg = core.load_config(config)
-pairs = dataset.load_eval_suite(suite, "x86_64", cfg)
-steps = {}
-real = toolrun.run_command
-def timed(template, mapping, timeout):
-    start = time.perf_counter()
-    try:
-        return real(template, mapping, timeout)
-    finally:
-        steps.setdefault(template, []).append(time.perf_counter() - start)
-toolrun.run_command = timed
-calls = []
-for pair in pairs:
-    beam_s = []
-    for _ in range(beams):
-        start = time.perf_counter()
-        outcome, logs = evaluation.run_functional(pair.target.normalized_text, pair, cfg)
-        beam_s.append(time.perf_counter() - start)
-        if not outcome.is_pass:
-            sys.exit(f"{pair.pair_id}: {outcome.describe()}\\n{logs}")
-    calls.append(beam_s)
-print(json.dumps({"calls": calls, "steps": steps}))
-"""
-
-
-def load_armenc():
-    spec = importlib.util.spec_from_file_location("armenc", ROOT / "perfbench" / "armenc.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-def write_guests(work: Path, seed: int) -> dict:
-    """The four guest ELFs under ``work``: {shape: (path, exit code, instructions)}."""
-    armenc = load_armenc()
-    rng = random.Random(seed)
-    guests = [armenc.exit_guest(rng),
-              armenc.loop_guest(rng, LOOP_ITERATIONS),
-              armenc.straight_guest(rng, STRAIGHT_LENGTH),
-              armenc.selfstore_guest(rng, SELFSTORE_ITERATIONS)]
-    out = {}
-    for g in guests:
-        path = work / f"{g.name}.elf"
-        path.write_bytes(g.image)
-        out[g.name] = (str(path), g.exit_code, g.instructions)
-    return out
-
-
-def export_tree(rev: str, dest: Path) -> Path:
-    """``rev``'s ``src/`` and ``configs/``, unpacked under ``dest``."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src", "configs"],
-                             capture_output=True, check=True).stdout
-    archive_path = dest / "tree.tar"
-    archive_path.write_bytes(archive)
-    with tarfile.open(archive_path) as tar:
-        tar.extractall(dest)
-    return dest
+WORKLOADS = ("suite-native", "corpus-text", "armvm")
+ROUNDS = 10  # per tree, workload and trace level
+SECONDS = 10  # perfbench's --seconds; a run takes about this plus 5.5 s
+COPIED = ("perfbench", "tests/fixtures")  # from this checkout into both trees
+SKIPPED = shutil.ignore_patterns("__pycache__", "*.pyc", ".work", ".out")
 
 
 def git(*args: str) -> str:
@@ -163,76 +50,82 @@ def git(*args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def child_env(tree: Path) -> dict:
-    return {**os.environ, "PYTHONPATH": str(tree / "src")}
+def make_tree(dest: Path, baseline: str | None) -> Path:
+    """``src/`` and ``configs/`` of ``baseline`` (or of this checkout, if
+    None) under ``dest``, beside copies of this checkout's ``COPIED``."""
+    if baseline is None:
+        for part in ("src", "configs"):
+            shutil.copytree(ROOT / part, dest / part, ignore=SKIPPED)
+    else:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", baseline, "src", "configs"],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(dest)
+    for part in COPIED:
+        shutil.copytree(ROOT / part, dest / part, ignore=SKIPPED)
+    return dest
 
 
-def run_vm(tree: Path, guest: tuple) -> tuple[float, float]:
-    """Wall seconds and peak RSS (MB) of one ``python -m xisa.armvm`` child."""
-    path, code, _instr = guest
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "xisa.armvm", path], env=child_env(tree))
-    # wait4 gives this child's own rusage; Popen is told it has been reaped
-    _pid, status, usage = os.wait4(proc.pid, 0)
-    seconds = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != code:
-        raise RuntimeError(f"{path}: exit code {proc.returncode}, expected {code}")
-    return seconds, usage.ru_maxrss / 1024
+def read_result(line: str) -> dict:
+    """One perfbench result line, checked: raises ValueError unless it is a
+    result object that reports ``correct: true``."""
+    try:
+        result = json.loads(line)
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict) or not {"correct", "attempted", "failed",
+                                            "metrics"} <= result.keys():
+        raise ValueError(f"not a perfbench result: {line[-200:]!r}")
+    if result["correct"] is not True:
+        raise ValueError(f"perfbench reports correct: {result['correct']}")
+    return result
 
 
-def armvm_round(tree: Path, guests: dict) -> dict:
-    spec = json.dumps([RUN_BUDGET_S, MIN_RUNS,
-                       [(shape, guests[shape][0], guests[shape][1]) for shape in SHAPES]])
-    proc = subprocess.run([sys.executable, "-c", ARMVM_CHILD, spec], env=child_env(tree),
-                          capture_output=True, text=True, check=True)
-    seconds = json.loads(proc.stdout)
-    exit_wall, _ = run_vm(tree, guests["exit"])
-    _, straight_rss = run_vm(tree, guests["straight"])
-    return {"seconds": seconds, "exit_wall_s": exit_wall, "straight_rss_mb": straight_rss}
+def run_perfbench(tree: Path, workload: str, seed: int, trace: int) -> str:
+    """The result line of one perfbench run in ``tree``; exits the harness
+    if the run fails."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SECONDS), "--trace", str(trace)],
+        cwd=tree, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        if proc.returncode != 0:
+            raise ValueError(f"exit code {proc.returncode}")
+        read_result(lines[-1] if lines else "")
+    except ValueError as exc:
+        sys.exit(f"bench_harness: {tree.name} {workload} seed {seed} trace {trace}: {exc}\n"
+                 f"{proc.stderr[-2000:]}")
+    return lines[-1]
 
 
-def build_round(tree: Path) -> dict:
-    spec = json.dumps([str(tree / BUILD_CONFIG), str(BUILD_SUITE), BEAMS])
-    proc = subprocess.run([sys.executable, "-c", BUILD_CHILD, spec], env=child_env(tree),
-                          capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"build layer child failed: {proc.stderr[-2000:]}")
-    return json.loads(proc.stdout)
+def quartile_distance(values: list[float]) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
 
 
-def summarize_armvm(rounds: list[dict], guests: dict) -> dict:
-    median = {shape: statistics.median(r["seconds"][shape] for r in rounds)
-              for shape in SHAPES}
-    return {
-        "minstr_per_s": {shape: round(guests[shape][2] / median[shape] / 1e6, 4)
-                         for shape in SHAPES},
-        "run_s": {shape: round(median[shape], 6) for shape in SHAPES},
-        "exit_guest_wall_s": round(statistics.median(r["exit_wall_s"] for r in rounds), 4),
-        "straight_peak_rss_mb": round(max(r["straight_rss_mb"] for r in rounds), 2),
-    }
-
-
-def summarize_build(rounds: list[dict]) -> dict:
-    calls = [pair for r in rounds for pair in r["calls"]]
-    candidates = sum(len(pair) for pair in calls)
-    steps: dict[str, list[float]] = {}
-    for r in rounds:
-        for template, seconds in r["steps"].items():
-            steps.setdefault(template, []).extend(seconds)
-    return {
-        "candidates": candidates,
-        "call_s_median": round(statistics.median(s for pair in calls for s in pair), 5),
-        "first_beam_s_median": round(statistics.median(pair[0] for pair in calls), 5),
-        "later_beam_s_median": round(statistics.median(s for pair in calls for s in pair[1:]), 5),
-        "step_s_median": {t: round(statistics.median(v), 5) for t, v in steps.items()},
-        # the link step is the one assemble_link step that names {output}
-        "link_step_s_median": round(statistics.median(
-            s for t, v in steps.items() if "{output}" in t for s in v), 5),
-        "step_calls": {t: len(v) for t, v in steps.items()},
-        "run_command_calls_per_candidate": round(
-            sum(len(v) for v in steps.values()) / candidates, 4),
-    }
+def summarize(lines: dict[str, list[str]]) -> dict:
+    """Per metric: each tree's median and quartile distance over its result
+    ``lines``, the head/baseline ratio and whether it is inside the spread."""
+    runs = {tree: [read_result(line) for line in tree_lines]
+            for tree, tree_lines in lines.items()}
+    out = {}
+    for name, first in runs["baseline"][0]["metrics"].items():
+        values = {tree: [r["metrics"][name]["value"] for r in results]
+                  for tree, results in runs.items()}
+        median = {tree: statistics.median(v) for tree, v in values.items()}
+        spread = {tree: quartile_distance(v) for tree, v in values.items()}
+        ratio = median["head"] / median["baseline"] if median["baseline"] else None
+        relative = max(spread[t] / abs(median[t]) if median[t] else 0.0 for t in runs)
+        out[name] = {
+            "unit": first["unit"],
+            "median": median,
+            "quartile_distance": spread,
+            "ratio": None if ratio is None else round(ratio, 4),
+            "inside_spread": None if ratio is None else abs(ratio - 1) <= relative,
+        }
+    return out
 
 
 def tree_id(path: str) -> str:
@@ -266,80 +159,43 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
-    stamp = machine_stamp()
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        guests = write_guests(work, SEED)
-        base = work / "baseline"
-        base.mkdir()
-        trees = {"baseline": export_tree(args.baseline, base), "head": ROOT}
-        armvm_rounds: dict[str, list] = {name: [] for name in trees}
-        build_rounds: dict[str, list] = {name: [] for name in trees}
-        for i in range(ROUNDS):
-            # alternate which tree runs first, so drift favours neither
-            order = list(trees) if i % 2 == 0 else list(reversed(trees))
-            for name in order:
-                armvm_rounds[name].append(armvm_round(trees[name], guests))
-                build_rounds[name].append(build_round(trees[name]))
-        armvm = {name: summarize_armvm(armvm_rounds[name], guests) for name in trees}
-        build = {name: summarize_build(build_rounds[name]) for name in trees}
-
-    def ratio(key: str, layer: dict) -> float:
-        return round(layer["head"][key] / layer["baseline"][key], 3)
-
-    def beside_spread(head_over_baseline: float, per_round) -> dict:
-        """The ratio, and each tree's median and max/min over rounds of
-        ``per_round(round)``."""
-        return {"ratio": head_over_baseline, "median": {
-            name: round(statistics.median(map(per_round, rounds)), 6)
-            for name, rounds in armvm_rounds.items()}, "spread": {
-            name: round(max(map(per_round, rounds)) / min(map(per_round, rounds)), 3)
-            for name, rounds in armvm_rounds.items()}}
-
     report = {
-        "machine": stamp,
+        "machine": machine_stamp(),
         "rounds": ROUNDS,
+        "seconds": SECONDS,
         "baseline": args.baseline,
-        # git tree ids of the measured src/ and configs/ (a commit amended
-        # later keeps them)
+        # git tree ids of what was measured (a commit amended later keeps them)
         "baseline_src_tree": git("rev-parse", f"{args.baseline}:src"),
         "baseline_configs_tree": git("rev-parse", f"{args.baseline}:configs"),
         "head_src_tree": tree_id("src"),
         "head_configs_tree": tree_id("configs"),
-        "layers": {
-            "armvm": {
-                "seed": SEED,
-                "run_budget_s": RUN_BUDGET_S,
-                "min_runs": MIN_RUNS,
-                "guest_instructions": {shape: guests[shape][2] for shape in SHAPES},
-                "results": armvm,
-                "head_over_baseline": {
-                    "minstr_per_s": {
-                        shape: beside_spread(
-                            round(armvm["head"]["minstr_per_s"][shape]
-                                  / armvm["baseline"]["minstr_per_s"][shape], 3),
-                            lambda r, shape=shape: r["seconds"][shape])
-                        for shape in SHAPES},
-                    "exit_guest_wall_s": beside_spread(
-                        ratio("exit_guest_wall_s", armvm), lambda r: r["exit_wall_s"]),
-                    "straight_peak_rss_mb": beside_spread(
-                        ratio("straight_peak_rss_mb", armvm), lambda r: r["straight_rss_mb"]),
-                },
-            },
-            "build": {
-                "config": str(BUILD_CONFIG),  # each tree's own
-                "suite": str(BUILD_SUITE.relative_to(ROOT)),
-                "beams": BEAMS,
-                "results": build,
-                "head_over_baseline": {
-                    key: ratio(key, build)
-                    for key in ("call_s_median", "first_beam_s_median",
-                                "later_beam_s_median", "link_step_s_median",
-                                "run_command_calls_per_candidate")
-                },
-            },
-        },
+        "perfbench_tree": tree_id("perfbench"),
+        "workloads": {},
     }
+    with tempfile.TemporaryDirectory() as tmp:
+        # directory names of equal length: perfbench's stores hold paths
+        trees = {"baseline": make_tree(Path(tmp) / "base", args.baseline),
+                 "head": make_tree(Path(tmp) / "head", None)}
+        for workload in WORKLOADS:
+            for tree in trees.values():
+                run_perfbench(tree, workload, 0, 0)  # warm-up, discarded
+            lines = {trace: {name: [] for name in trees} for trace in (0, 1)}
+            runs = []
+            for seed in range(1, ROUNDS + 1):
+                # alternate which tree runs first, so drift favours neither
+                order = list(trees) if seed % 2 else list(reversed(trees))
+                for trace in (0, 1):
+                    for name in order:
+                        line = run_perfbench(trees[name], workload, seed, trace)
+                        lines[trace][name].append(line)
+                        result = json.loads(line)
+                        runs.append({"tree": name, "seed": seed, "trace": trace,
+                                     **{k: result[k] for k in ("correct", "attempted", "failed")}})
+            report["workloads"][workload] = {
+                "end_to_end": summarize(lines[0]),
+                "per_layer": summarize(lines[1]),
+                "runs": runs,
+            }
     args.output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -527,7 +527,8 @@ def static_register_profile(unit: AssemblyUnit) -> dict[str, RegisterProfile]:
     Straight-line approximation: control flow is ignored; a register written
     twice with no intervening read is recorded at the second write's 1-based
     line number.  Calls implicitly read argument registers and write return
-    registers for the unit's ISA.
+    registers for the unit's ISA.  A register operand written back with ``!``
+    (``ldmia r0!, {r1, r2}``) is read and written.
     """
     isa = get_isa(unit.isa)
     roles = load_role_table(unit.isa)
@@ -601,6 +602,8 @@ def static_register_profile(unit: AssemblyUnit) -> dict[str, RegisterProfile]:
             else:
                 for r in op_regs:
                     do_read(r)
+                if op.kind is OperandKind.REGISTER and op.text.endswith("!"):
+                    writes.extend(op_regs)  # base register written back
         for r in writes:
             do_write(r, lineno)
 

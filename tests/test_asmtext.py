@@ -316,7 +316,11 @@ def test_role_tables_load_for_all_isas():
 _PURE_WRITE_PREFIXES = ("mov", "ldr", "lw", "ld", "lb", "lh", "li", "lui", "la",
                         "mv", "mvn", "lea", "pop", "set")
 # where the tables correct the heuristic: movk keeps the other 48 bits
-_PREFIX_ORACLE_WRONG = {IsaName.ARMV8: {"movk"}}
+_PREFIX_ORACLE_WRONG = {
+    IsaName.ARMV8: {"movk"},
+    # partial-register writes keep the rest of the register
+    IsaName.X86_64: {"sete", "setne", "setl", "setg", "setle", "setge", "movb", "movw"},
+}
 
 
 @pytest.mark.parametrize("isa", list(IsaName))
@@ -333,6 +337,23 @@ def test_profile_movk_reads_its_destination():
     assert static_register_profile(unit)["x0"].overwrite_without_read_lines == []
     unit = parse_assembly("mov x0, #1\nmov x0, #2", IsaName.ARMV8)
     assert static_register_profile(unit)["x0"].overwrite_without_read_lines == [2]
+
+
+@pytest.mark.parametrize("text", ["movl $1, %eax\nsete %al", "movb $1, %al\nmovb $2, %ah"])
+def test_profile_partial_register_write_reads_its_destination(text):
+    unit = parse_assembly(text, IsaName.X86_64)
+    assert static_register_profile(unit)["rax"].overwrite_without_read_lines == []
+    full = parse_assembly("movl $1, %eax\nmovl $2, %eax", IsaName.X86_64)
+    assert static_register_profile(full)["rax"].overwrite_without_read_lines == [2]
+
+
+def test_profile_writeback_base_is_written():
+    unit = parse_assembly("ldmia r0!, {r1, r2}\nmov r0, #1", IsaName.ARMV5)
+    r0 = static_register_profile(unit)["r0"]
+    assert (r0.writes, r0.overwrite_without_read_lines) == (2, [2])
+    unit = parse_assembly("ldmia r0, {r1, r2}\nmov r0, #1", IsaName.ARMV5)
+    r0 = static_register_profile(unit)["r0"]
+    assert (r0.writes, r0.overwrite_without_read_lines) == (1, [])
 
 
 @pytest.mark.parametrize("isa", list(IsaName))
