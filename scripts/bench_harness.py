@@ -40,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("suite-native", "corpus-text", "armvm")
 ROUNDS = 10  # per tree, workload and trace level
-SECONDS = 10  # perfbench's --seconds; a run takes about this plus 5.5 s
+SECONDS = 10  # perfbench's --seconds; a run takes about this plus 5 s
 COPIED = ("perfbench", "tests/fixtures")  # from this checkout into both trees
 SKIPPED = shutil.ignore_patterns("__pycache__", "*.pyc", ".work", ".out")
 

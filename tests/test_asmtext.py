@@ -343,8 +343,6 @@ def test_profile_movk_reads_its_destination():
 def test_profile_partial_register_write_reads_its_destination(text):
     unit = parse_assembly(text, IsaName.X86_64)
     assert static_register_profile(unit)["rax"].overwrite_without_read_lines == []
-    full = parse_assembly("movl $1, %eax\nmovl $2, %eax", IsaName.X86_64)
-    assert static_register_profile(full)["rax"].overwrite_without_read_lines == [2]
 
 
 def test_profile_writeback_base_is_written():
