@@ -35,14 +35,11 @@ from .tokenizer import TokenizerSpec, token_count
 
 @dataclass(frozen=True)
 class TranspileRequest:
-    source_text: str
+    source_text: str  # always x86_64
     target_isa: IsaName
-    source_isa: IsaName = IsaName.X86_64
     params: GenerationParams = field(default_factory=GenerationParams)
 
     def __post_init__(self) -> None:
-        if self.source_isa is not IsaName.X86_64:
-            raise ValueError("only x86_64 sources are supported")
         # x86_64 is a valid target too: self-translation needs only gcc
         object.__setattr__(self, "target_isa", IsaName(self.target_isa))
 
@@ -50,7 +47,6 @@ class TranspileRequest:
 @dataclass(frozen=True)
 class Candidate:
     text: str
-    score: float | None = None
 
 
 @dataclass(frozen=True)
@@ -126,6 +122,7 @@ RULE_REGISTER_MAP = {
 }
 
 _SCRATCH = "ip"  # r12: ARM intra-procedure-call scratch
+_SLOT_SCRATCH = "r5"  # scratch while ip holds a stack-slot destination
 
 _JUMP_MAP = {
     "jmp": "b",
@@ -141,15 +138,26 @@ _JUMP_MAP = {
 
 _SKIPPED = {"endbr64", "nop", "leave"}
 
-_ARITH_MAP = {
+#: Two-operand x86 mnemonics and the ARM instruction each lowers to.
+_RULE_OPS = {
+    "movl": "mov",
     "addl": "add",
     "subl": "sub",
     "andl": "and",
     "orl": "orr",
     "xorl": "eor",
+    "cmpl": "cmp",
+    "imull": "mul",
+    "sall": "lsl",
+    "shll": "lsl",
+    "sarl": "asr",
+    "shrl": "lsr",
 }
 
-_SHIFT_MAP = {"sall": "lsl", "shll": "lsl", "sarl": "asr", "shrl": "lsr"}
+_SHIFTS = {"lsl", "asr", "lsr"}
+
+#: The operation that takes a negative immediate's magnitude instead.
+_FLIPPED = {"add": "sub", "sub": "add", "cmp": "cmn"}
 
 
 def _arm_imm_ok(value: int) -> bool:
@@ -162,30 +170,8 @@ def _arm_imm_ok(value: int) -> bool:
     return False
 
 
-class _FnTranslator:
-    """Per-function template translation state."""
-
-    def __init__(self, name: str, lines_out: list[str]):
-        self.name = name
-        self.out = lines_out
-
-    def emit(self, text: str) -> None:
-        self.out.append("\t" + text)
-
-    def emit_label(self, text: str) -> None:
-        self.out.append(text)
-
-    def load_imm(self, reg: str, value: int) -> None:
-        if _arm_imm_ok(value):
-            self.emit(f"mov {reg}, #{value}")
-        elif value < 0 and _arm_imm_ok(~value & 0xFFFFFFFF):
-            self.emit(f"mvn {reg}, #{~value & 0xFFFFFFFF}")
-        else:
-            self.emit(f"ldr {reg}, ={value}")
-
-    def slot(self, op: Operand) -> str:
-        assert op.offset is not None
-        return f"[fp, #{op.offset}]"
+class _NoRule(Exception):
+    """An operand shape outside the rule subset."""
 
 
 def _is_stack_slot(op: Operand) -> bool:
@@ -202,6 +188,56 @@ def _reg(op: Operand) -> str | None:
     if op.kind is OperandKind.REGISTER and op.register in RULE_REGISTER_MAP:
         return RULE_REGISTER_MAP[op.register]
     return None
+
+
+def _slot(op: Operand) -> str:
+    return f"[fp, #{op.offset}]"
+
+
+class _FnTranslator:
+    """Per-function output plus the two operand lowerings every rule uses."""
+
+    def __init__(self, lines_out: list[str]):
+        self.out = lines_out
+
+    def emit(self, text: str) -> None:
+        self.out.append("\t" + text)
+
+    def load(self, reg: str, op: Operand) -> str:
+        """Put ``op`` into ``reg``: a mapped register, an immediate or a stack slot."""
+        src, value = _reg(op), op.value or 0
+        if src:
+            if src != reg:
+                self.emit(f"mov {reg}, {src}")
+        elif _is_stack_slot(op):
+            self.emit(f"ldr {reg}, {_slot(op)}")
+        elif op.kind is not OperandKind.IMMEDIATE:
+            raise _NoRule
+        elif _arm_imm_ok(value):
+            self.emit(f"mov {reg}, #{value}")
+        elif value < 0 and _arm_imm_ok(~value & 0xFFFFFFFF):
+            self.emit(f"mvn {reg}, #{~value & 0xFFFFFFFF}")
+        else:
+            self.emit(f"ldr {reg}, ={value}")
+        return reg
+
+    def operand(self, arm: str, op: Operand, scratch: str) -> tuple[str, str]:
+        """The data-processing instruction ``arm`` and its shifter operand for ``op``.
+
+        A mapped register or a modified immediate is used as is; a negative
+        immediate flips add/sub/cmp to sub/add/cmn; anything else is loaded
+        into ``scratch``.
+        """
+        reg = _reg(op)
+        if reg:
+            return arm, reg
+        if op.kind is OperandKind.IMMEDIATE:
+            value = op.value or 0
+            if _arm_imm_ok(value):
+                return arm, f"#{value}"
+            if arm in _FLIPPED and _arm_imm_ok(-value):
+                return _FLIPPED[arm], f"#{-value}"
+        return arm, self.load(scratch, op)
 
 
 def rule_translate(unit: AssemblyUnit) -> str:
@@ -222,7 +258,7 @@ def rule_translate(unit: AssemblyUnit) -> str:
     }
 
     for span in unit.functions:
-        fn = _FnTranslator(span.name, out)
+        fn = _FnTranslator(out)
         body = unit.lines[span.start_line : span.end_line]
 
         # frame size: widest stack slot used anywhere in the function
@@ -237,28 +273,30 @@ def rule_translate(unit: AssemblyUnit) -> str:
         if span.name in globl_names:
             out.append(f"\t.globl {span.name}")
         out.append(f"\t.type {span.name}, %function")
-        fn.emit_label(f"{span.name}:")
+        out.append(f"{span.name}:")
         fn.emit("push {r4, r5, fp, lr}")
         fn.emit("mov fp, sp")
         if frame:
             fn.emit(f"sub sp, sp, #{frame}")
 
         for offset_in_fn, line in enumerate(body):
-            lineno = span.start_line + offset_in_fn + 1
             if line.kind is LineKind.LABEL and offset_in_fn > 0:
-                fn.emit_label(line.text_normalized)
+                out.append(line.text_normalized)
                 continue
             if line.kind is not LineKind.INSTRUCTION:
                 continue
-            _translate_instruction(fn, line.instruction, lineno)  # type: ignore[arg-type]
+            insn = line.instruction
+            assert insn is not None
+            try:
+                _translate_instruction(fn, insn.mnemonic, insn.operands)
+            except _NoRule:
+                lineno = span.start_line + offset_in_fn + 1
+                raise UnsupportedInstruction(insn.mnemonic, lineno) from None
 
     return "\n".join(out) + "\n"
 
 
-def _translate_instruction(fn: _FnTranslator, insn, lineno: int) -> None:
-    m = insn.mnemonic
-    ops = insn.operands
-
+def _translate_instruction(fn: _FnTranslator, m: str, ops: tuple[Operand, ...]) -> None:
     if m in _SKIPPED:
         return
     # frame saves are absorbed: the fixed ARM prologue already stores fp/lr
@@ -286,148 +324,55 @@ def _translate_instruction(fn: _FnTranslator, insn, lineno: int) -> None:
     if m in _JUMP_MAP and len(ops) == 1 and ops[0].kind is OperandKind.LABEL_REF:
         fn.emit(f"{_JUMP_MAP[m]} {ops[0].text}")
         return
+    if m == "negl" and len(ops) == 1 and (reg := _reg(ops[0])):
+        fn.emit(f"rsb {reg}, {reg}, #0")
+        return
 
-    if m == "movl" and len(ops) == 2:
-        src, dst = ops
-        dreg = _reg(dst)
-        sreg = _reg(src)
-        if sreg and dreg:
-            if sreg != dreg:
-                fn.emit(f"mov {dreg}, {sreg}")
-            return
-        if src.kind is OperandKind.IMMEDIATE and dreg:
-            fn.load_imm(dreg, src.value)  # type: ignore[arg-type]
-            return
-        if _is_stack_slot(src) and dreg:
-            fn.emit(f"ldr {dreg}, {fn.slot(src)}")
-            return
-        if sreg and _is_stack_slot(dst):
-            fn.emit(f"str {sreg}, {fn.slot(dst)}")
-            return
-        if src.kind is OperandKind.IMMEDIATE and _is_stack_slot(dst):
-            fn.load_imm(_SCRATCH, src.value)  # type: ignore[arg-type]
-            fn.emit(f"str {_SCRATCH}, {fn.slot(dst)}")
-            return
-        raise UnsupportedInstruction(m, lineno)
-
-    if m in _ARITH_MAP and len(ops) == 2:
-        arm = _ARITH_MAP[m]
-        src, dst = ops
-        dreg = _reg(dst)
-        sreg = _reg(src)
-        if sreg and dreg:
-            fn.emit(f"{arm} {dreg}, {dreg}, {sreg}")
-            return
-        if src.kind is OperandKind.IMMEDIATE and dreg:
-            value = src.value or 0
-            if _arm_imm_ok(value):
-                fn.emit(f"{arm} {dreg}, {dreg}, #{value}")
-            elif value < 0 and arm in ("add", "sub") and _arm_imm_ok(-value):
-                flipped = "sub" if arm == "add" else "add"
-                fn.emit(f"{flipped} {dreg}, {dreg}, #{-value}")
-            else:
-                fn.load_imm(_SCRATCH, value)
-                fn.emit(f"{arm} {dreg}, {dreg}, {_SCRATCH}")
-            return
-        if _is_stack_slot(src) and dreg:
-            fn.emit(f"ldr {_SCRATCH}, {fn.slot(src)}")
-            fn.emit(f"{arm} {dreg}, {dreg}, {_SCRATCH}")
-            return
-        if (sreg or src.kind is OperandKind.IMMEDIATE) and _is_stack_slot(dst):
-            fn.emit(f"ldr {_SCRATCH}, {fn.slot(dst)}")
-            if sreg:
-                fn.emit(f"{arm} {_SCRATCH}, {_SCRATCH}, {sreg}")
-            else:
-                fn.emit(f"{arm} {_SCRATCH}, {_SCRATCH}, #{src.value}")
-            fn.emit(f"str {_SCRATCH}, {fn.slot(dst)}")
-            return
-        raise UnsupportedInstruction(m, lineno)
-
-    if m == "imull":
-        return _translate_imul(fn, ops, lineno)
-
-    if m == "negl" and len(ops) == 1:
-        dreg = _reg(ops[0])
-        if dreg:
-            fn.emit(f"rsb {dreg}, {dreg}, #0")
-            return
-        raise UnsupportedInstruction(m, lineno)
-
-    if m in _SHIFT_MAP and len(ops) == 2:
-        src, dst = ops
-        dreg = _reg(dst)
-        if src.kind is OperandKind.IMMEDIATE and dreg:
-            fn.emit(f"{_SHIFT_MAP[m]} {dreg}, {dreg}, #{src.value}")
-            return
-        raise UnsupportedInstruction(m, lineno)
-
-    if m == "cmpl" and len(ops) == 2:
-        src, dst = ops  # AT&T: computes dst - src
-        dreg = _reg(dst)
-        sreg = _reg(src)
-        if sreg and dreg:
-            fn.emit(f"cmp {dreg}, {sreg}")
-            return
-        if src.kind is OperandKind.IMMEDIATE and dreg:
-            value = src.value or 0
-            if _arm_imm_ok(value):
-                fn.emit(f"cmp {dreg}, #{value}")
-            elif value < 0 and _arm_imm_ok(-value):
-                fn.emit(f"cmn {dreg}, #{-value}")
-            else:
-                fn.load_imm(_SCRATCH, value)
-                fn.emit(f"cmp {dreg}, {_SCRATCH}")
-            return
-        if _is_stack_slot(src) and dreg:
-            fn.emit(f"ldr {_SCRATCH}, {fn.slot(src)}")
-            fn.emit(f"cmp {dreg}, {_SCRATCH}")
-            return
-        if _is_stack_slot(dst) and (sreg or src.kind is OperandKind.IMMEDIATE):
-            fn.emit(f"ldr {_SCRATCH}, {fn.slot(dst)}")
-            if sreg:
-                fn.emit(f"cmp {_SCRATCH}, {sreg}")
-            else:
-                fn.emit(f"cmp {_SCRATCH}, #{src.value}")
-            return
-        raise UnsupportedInstruction(m, lineno)
-
-    raise UnsupportedInstruction(m, lineno)
-
-
-def _translate_imul(fn: _FnTranslator, ops, lineno: int) -> None:
-    # ARMv5 requires Rd != Rm in mul; rotate through the scratch register
-    # whenever source and destination collide.
-    if len(ops) == 2:
-        src, dst = ops
-        dreg = _reg(dst)
-        sreg = _reg(src)
-        if sreg and dreg:
-            if sreg == dreg:
-                fn.emit(f"mov {_SCRATCH}, {sreg}")
-                fn.emit(f"mul {dreg}, {_SCRATCH}, {_SCRATCH}")
-            else:
-                fn.emit(f"mul {dreg}, {sreg}, {dreg}")
-            return
-        if _is_stack_slot(src) and dreg:
-            fn.emit(f"ldr {_SCRATCH}, {fn.slot(src)}")
-            fn.emit(f"mul {dreg}, {_SCRATCH}, {dreg}")
-            return
-        if src.kind is OperandKind.IMMEDIATE and dreg:
-            fn.load_imm(_SCRATCH, src.value or 0)
-            fn.emit(f"mul {dreg}, {_SCRATCH}, {dreg}")
-            return
-    if len(ops) == 3:
+    arm = _RULE_OPS.get(m)
+    if arm == "mul" and len(ops) == 3 and ops[0].kind is OperandKind.IMMEDIATE:
         imm, src, dst = ops
         dreg = _reg(dst)
+        if not dreg or src.kind is OperandKind.IMMEDIATE:
+            raise _NoRule
+        sreg = _reg(src) or fn.load(dreg, src)
+        fn.load(_SCRATCH, imm)
+        fn.emit(f"mul {dreg}, {_SCRATCH}, {sreg}")
+        return
+    if arm is None or len(ops) != 2:
+        raise _NoRule
+    src, dst = ops  # AT&T order: cmp computes dst - src
+    dreg = _reg(dst)
+    if not dreg and (
+        arm == "mul" or arm in _SHIFTS or not _is_stack_slot(dst) or _is_stack_slot(src)
+    ):
+        raise _NoRule  # x86 has no memory-to-memory form either
+    if arm == "mov":
+        if dreg:
+            fn.load(dreg, src)
+        else:
+            sreg = _reg(src) or fn.load(_SCRATCH, src)
+            fn.emit(f"str {sreg}, {_slot(dst)}")
+    elif arm == "mul":
+        # no immediate form, and ARMv5 wants Rd != Rm: a source that is the
+        # destination is copied to the scratch register first
         sreg = _reg(src)
-        if imm.kind is OperandKind.IMMEDIATE and dreg and (sreg or _is_stack_slot(src)):
-            if _is_stack_slot(src):
-                fn.emit(f"ldr {dreg}, {fn.slot(src)}")
-                sreg = dreg
-            fn.load_imm(_SCRATCH, imm.value or 0)
-            fn.emit(f"mul {dreg}, {_SCRATCH}, {sreg}")
-            return
-    raise UnsupportedInstruction("imull", lineno)
+        rm = sreg if sreg not in (None, dreg) else fn.load(_SCRATCH, src)
+        fn.emit(f"mul {dreg}, {rm}, {rm if sreg == dreg else dreg}")
+    elif arm in _SHIFTS:
+        if src.kind is not OperandKind.IMMEDIATE:
+            raise _NoRule
+        fn.emit(f"{arm} {dreg}, {dreg}, #{src.value}")
+    else:
+        # a stack-slot destination is read into ip, modified and written
+        # back, so its operand's scratch register is r5
+        rd = dreg or fn.load(_SCRATCH, dst)
+        arm, operand = fn.operand(arm, src, _SCRATCH if dreg else _SLOT_SCRATCH)
+        if arm in ("cmp", "cmn"):
+            fn.emit(f"{arm} {rd}, {operand}")
+        else:
+            fn.emit(f"{arm} {rd}, {rd}, {operand}")
+            if not dreg:
+                fn.emit(f"str {rd}, {_slot(dst)}")
 
 
 class RuleBackend(Backend):
@@ -512,7 +457,7 @@ class RemoteBackend(Backend):
                 )
             try:
                 choices = json.loads(raw)["choices"]
-                return [Candidate(c["text"], c.get("score")) for c in choices]
+                return [Candidate(c["text"]) for c in choices]
             except (ValueError, KeyError, TypeError) as exc:
                 raise BackendRefused(f"malformed completion body: {exc}") from exc
         raise BackendUnavailable(

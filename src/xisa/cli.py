@@ -40,11 +40,8 @@ def _now() -> str:
 
 
 def _config_fingerprint(cfg: ToolchainConfig) -> str:
-    if cfg.source_path and os.path.exists(cfg.source_path):
-        text = Path(cfg.source_path).read_text(encoding="utf-8")
-    else:
-        text = cfg.to_text()
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    """Hash of the parsed config, so it covers commands after $VAR expansion."""
+    return hashlib.sha256(cfg.to_text().encode()).hexdigest()[:16]
 
 
 def make_run_record(

@@ -226,7 +226,6 @@ class ToolchainConfig:
     timeout_run: float = 10.0
     prompt_preamble: str = DEFAULT_PROMPT_PREAMBLE
     prompt_version: str = "v1"
-    source_path: str = ""
 
     def __post_init__(self) -> None:
         if self.timeout_compile <= 0:
@@ -275,7 +274,7 @@ class ToolchainConfig:
         return buf.getvalue()
 
 
-def parse_config(text: str, source_path: str = "") -> ToolchainConfig:
+def parse_config(text: str) -> ToolchainConfig:
     """Parse config text.  Environment variables in commands are expanded."""
     cp = configparser.RawConfigParser()
     try:
@@ -351,7 +350,6 @@ def parse_config(text: str, source_path: str = "") -> ToolchainConfig:
         timeout_run=timeout_run,
         prompt_preamble=preamble,
         prompt_version=preamble_version,
-        source_path=source_path,
     )
 
 
@@ -364,4 +362,4 @@ def load_config(path: str | Path) -> ToolchainConfig:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     if not text.strip():
         raise ConfigError(f"config parse failure: {p} is empty")
-    return parse_config(text, source_path=str(p))
+    return parse_config(text)

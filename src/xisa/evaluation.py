@@ -455,7 +455,7 @@ def evaluate_pair(
         raise
     except XisaError as exc:
         distance, exact = score_syntactic(
-            "", pair.target.normalized_text, pair.target_isa, policy, line_level
+            "", pair.target.raw_text, pair.target_isa, policy, line_level
         )
         return EvalResult(
             pair_id=pair.pair_id,
@@ -470,7 +470,7 @@ def evaluate_pair(
 
     candidates = [c.text for c in response.candidates]
     distance, exact = score_syntactic(
-        candidates[0], pair.target.normalized_text, pair.target_isa, policy, line_level
+        candidates[0], pair.target.raw_text, pair.target_isa, policy, line_level
     )
 
     # beam 0 is reported unless a later beam passes

@@ -4,7 +4,8 @@ import json
 from pathlib import Path
 
 from conftest import CONFIGS, FIXTURES, needs_gcc, needs_lite
-from xisa.cli import main
+from xisa.cli import main, make_run_record
+from xisa.core import load_config
 from xisa.evaluation import read_results
 
 LITE = str(CONFIGS / "clang-lite.cfg")
@@ -65,6 +66,17 @@ def test_dataset_build_and_inspect(tmp_path, capsys):
     assert run_record["config_fingerprint"] != "none"
     assert main(["dataset", "inspect", str(out)]) == 0
     assert "records: 3" in capsys.readouterr().out
+
+
+def test_config_fingerprint_covers_expanded_commands(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "env.cfg"
+    cfg_path.write_text("[x86_64]\ncompile = $XCC {opt} -S {input} -o {output}\n")
+    fingerprints = set()
+    for compiler in ("gcc", "clang"):
+        monkeypatch.setenv("XCC", compiler)
+        record = make_run_record([], "", [], load_config(cfg_path))
+        fingerprints.add(record["config_fingerprint"])
+    assert len(fingerprints) == 2
 
 
 def test_dataset_build_missing_toolchain_echoes_command(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import CONFIGS, FIXTURES, X86_PROFILES, needs_gcc, needs_lite
 from xisa import evaluation, toolrun
-from xisa.asmtext import parse_assembly
+from xisa.asmtext import DEFAULT_POLICY, NormalizationPolicy, parse_assembly
 from xisa.backends import Backend, Candidate, IdentityBackend, ReplayBackend
 from xisa.core import GenerationParams, IsaName, parse_config
 from xisa.dataset import AsmSide, TranspilePair, compile_pair
@@ -208,8 +208,6 @@ def test_commutative_reorder_scores_nonzero():
 
 
 def test_raw_policy_counts_comments():
-    from xisa.asmtext import NormalizationPolicy
-
     truth = "mov r0, #0\n"
     candidate = "@ c\nmov r0, #0\n"
     distance, exact = score_syntactic(
@@ -608,6 +606,18 @@ def test_all_beams_failing_reports_beam_0_gcc_only(mini_pairs_x86, lite_cfg):
     # beam 1 would have been an assemble error
     assert result.outcome.status is OutcomeStatus.TEST_FAILED
     assert result.error_class is not None
+
+
+@needs_gcc
+def test_raw_policy_scores_against_raw_ground_truth_gcc_only(mini_pairs_x86, lite_cfg):
+    # the stored normalized_text has comments and directives stripped under
+    # the default policy, so --policy raw must score against raw_text
+    pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
+    backend = FixedBeams([pair.target.raw_text])
+    for policy in (NormalizationPolicy.raw(), DEFAULT_POLICY):
+        result = evaluate_pair(pair, backend, GenerationParams(), lite_cfg, policy)
+        assert (result.edit_distance, result.exact_match) == (0, True)
+        assert result.outcome.is_pass
 
 
 def _x86_broken(pair: TranspilePair, kind: str) -> str:
