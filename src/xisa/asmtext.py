@@ -12,7 +12,6 @@ Only x86 AT&T syntax is parsed on the x86 side; Intel syntax is out of scope.
 from __future__ import annotations
 
 import functools
-import logging
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -21,8 +20,6 @@ from importlib import resources
 from types import MappingProxyType
 
 from .core import Isa, IsaName, SyntaxFamily, get_isa
-
-log = logging.getLogger(__name__)
 
 
 class LineKind(Enum):
@@ -443,25 +440,12 @@ def normalize(unit: AssemblyUnit, policy: NormalizationPolicy = DEFAULT_POLICY) 
     return "\n".join(out) + "\n"
 
 
-# --- static register read/write profile ------------------------------------
+# --- static register liveness profile ---------------------------------------
 
 @dataclass
 class RegisterProfile:
-    writes: int = 0
-    reads: int = 0
-    first_write_line: int | None = None
+    # 1-based lines whose write to the register no path reads
     overwrite_without_read_lines: list[int] = field(default_factory=list)
-
-
-# Registers implicitly read / written by calls, per ISA.
-_CALL_EFFECTS: dict[IsaName, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    IsaName.X86_64: (("rdi", "rsi", "rdx", "rcx", "r8", "r9"), ("rax", "rdx")),
-    IsaName.ARMV5: (("r0", "r1", "r2", "r3"), ("r0", "r1", "r14")),
-    IsaName.ARMV8: (tuple(f"x{i}" for i in range(8)), ("x0", "x1", "x30")),
-    IsaName.RISCV64: (tuple(f"a{i}" for i in range(8)), ("a0", "a1", "ra")),
-}
-
-_CALL_MNEMONICS = {"call", "bl", "blx", "blr", "jal", "jalr"}
 
 
 def canonical_register(name: str, isa: Isa | IsaName) -> str:
@@ -521,90 +505,83 @@ def _operand_registers(op: Operand, isa: Isa) -> list[str]:
     return regs
 
 
-def static_register_profile(unit: AssemblyUnit) -> dict[str, RegisterProfile]:
-    """Per-register read/write counts plus overwrite-without-read flags.
+def _effects(insn: Instruction, isa: Isa, bit: dict[str, int]) -> tuple[int, int]:
+    """The registers ``insn`` reads and writes, by the ISA's role table, as
+    masks over ``bit`` (register -> its bit), which grows by each new register.
+    A register operand written back with ``!`` (``ldmia r0!, {r1, r2}``) is
+    read and written.
+    """
+    # an unlisted mnemonic writes, and also reads, its first operand
+    positions, pure = load_role_table(isa.name).get(insn.mnemonic, ((0,), False))
+    n_ops = len(insn.operands)
+    reads = writes = 0
+    for i, op in enumerate(insn.operands):
+        mask = 0
+        for reg in _operand_registers(op, isa):
+            mask |= bit.setdefault(reg, 1 << len(bit))
+        written = i in positions or i - n_ops in positions
+        if written and (op.kind is OperandKind.REGISTER or op.text.startswith("{")):
+            writes |= mask  # a register, or a pop-style register list
+            if not pure:
+                reads |= mask
+        else:
+            reads |= mask
+            if op.kind is OperandKind.REGISTER and op.text.endswith("!"):
+                writes |= mask
+    return reads, writes
 
-    Straight-line approximation: control flow is ignored; a register written
-    twice with no intervening read is recorded at the second write's 1-based
-    line number.  Calls implicitly read argument registers and write return
-    registers for the unit's ISA.  A register operand written back with ``!``
-    (``ldmia r0!, {r1, r2}``) is read and written.
+
+def static_register_profile(unit: AssemblyUnit) -> dict[str, RegisterProfile]:
+    """Dead writes, by backward liveness (Aho, Lam, Sethi, Ullman, *Compilers*,
+    9.2.5), with an entry for every register the unit reads or writes.
+
+    Each function span is analysed on its own, or the whole unit if it
+    declares none.  An instruction flows to the next line and to every label
+    of its function that it names.  Every register is live at the end of the
+    function and after a branch that leaves it: a branch mnemonic with no
+    local target (return, call, tail call, indirect jump) or a write to pc.
+    A write whose register is not live after it is dead; its 1-based line is
+    listed under that register.
     """
     isa = get_isa(unit.isa)
-    roles = load_role_table(unit.isa)
-    profiles: dict[str, RegisterProfile] = {}
-    pending_write: dict[str, bool] = {}
-
-    def prof(reg: str) -> RegisterProfile:
-        if reg not in profiles:
-            profiles[reg] = RegisterProfile()
-        return profiles[reg]
-
-    def do_read(reg: str) -> None:
-        p = prof(reg)
-        p.reads += 1
-        pending_write[reg] = False
-
-    def do_write(reg: str, lineno: int) -> None:
-        p = prof(reg)
-        if pending_write.get(reg):
-            p.overwrite_without_read_lines.append(lineno)
-        p.writes += 1
-        if p.first_write_line is None:
-            p.first_write_line = lineno
-        pending_write[reg] = True
-
-    for lineno, line in enumerate(unit.lines, start=1):
-        insn = line.instruction
-        if insn is None:
-            continue
-        mnemonic = insn.mnemonic
-        n_ops = len(insn.operands)
-
-        if mnemonic in _CALL_MNEMONICS:
-            arg_regs, ret_regs = _CALL_EFFECTS[unit.isa]
-            for r in arg_regs:
-                if r in profiles or pending_write.get(r):
-                    do_read(r)
-            for r in ret_regs:
-                # calls define return registers, but an unused return value is
-                # normal; never arm the overwrite detector from a call site
-                p = prof(r)
-                p.writes += 1
-                if p.first_write_line is None:
-                    p.first_write_line = lineno
-                pending_write[r] = False
-            continue
-
-        if mnemonic in roles:
-            positions, pure_write = roles[mnemonic]
-            write_indices = {i % n_ops for i in positions if n_ops}
-        elif n_ops == 0:
-            write_indices, pure_write = set(), False
-        else:
-            write_indices, pure_write = {0}, False
-            log.debug(
-                "no role entry for %s/%s; assuming first operand written and read",
-                unit.isa.value,
-                mnemonic,
-            )
-
-        writes: list[str] = []
-        for i, op in enumerate(insn.operands):
-            op_regs = _operand_registers(op, isa)
-            if i in write_indices and op.kind is OperandKind.REGISTER:
-                writes.extend(op_regs)
-                if not pure_write:
-                    for r in op_regs:
-                        do_read(r)
-            elif i in write_indices and op.kind is OperandKind.OTHER and op.text.startswith("{"):
-                writes.extend(op_regs)  # pop-style register list
-            else:
-                for r in op_regs:
-                    do_read(r)
-                if op.kind is OperandKind.REGISTER and op.text.endswith("!"):
-                    writes.extend(op_regs)  # base register written back
-        for r in writes:
-            do_write(r, lineno)
-
-    return profiles
+    bit: dict[str, int] = {}
+    dead: list[tuple[int, int]] = []  # (1-based line, registers it writes dead)
+    starts = sorted({0, *(span.start_line for span in unit.functions)})
+    for lo, hi in zip(starts, [*starts[1:], len(unit.lines)]):
+        labels: dict[str, int] = {}  # label -> index of the next instruction
+        nodes: list[tuple[int, Instruction, int, int]] = []
+        for lineno in range(lo, hi):
+            line = unit.lines[lineno]
+            if line.kind is LineKind.LABEL:
+                labels[line.text_normalized.rstrip(":")] = len(nodes)
+            elif line.instruction is not None:
+                effects = _effects(line.instruction, isa, bit)
+                nodes.append((lineno + 1, line.instruction, *effects))
+        every = (1 << len(bit)) - 1
+        pc = bit.get(isa.registers.get("pc", ""), 0)
+        successors: list[tuple[int, ...] | None] = []  # None: leaves the function
+        for k, (_, insn, _, writes) in enumerate(nodes):
+            targets = tuple(labels[ref] for ref in insn.label_refs if ref in labels)
+            leaves = writes & pc or (insn.mnemonic in isa.branch_mnemonics and not targets)
+            successors.append(None if leaves else (k + 1, *targets))
+        live_in = [0] * len(nodes) + [every]
+        live_out = [every] * len(nodes)
+        changed = True
+        while changed:
+            changed = False
+            for k in reversed(range(len(nodes))):
+                if successors[k] is not None:
+                    live_out[k] = 0
+                    for t in successors[k]:
+                        live_out[k] |= live_in[t]
+                _, _, reads, writes = nodes[k]
+                new = reads | (live_out[k] & ~writes)
+                if new != live_in[k]:
+                    live_in[k], changed = new, True
+        for (lineno, _, _, writes), out in zip(nodes, live_out):
+            if writes & ~out:
+                dead.append((lineno, writes & ~out))
+    return {
+        reg: RegisterProfile([lineno for lineno, mask in dead if mask & b])
+        for reg, b in bit.items()
+    }

@@ -361,7 +361,9 @@ def _translate_instruction(fn: _FnTranslator, m: str, ops: tuple[Operand, ...]) 
     elif arm in _SHIFTS:
         if src.kind is not OperandKind.IMMEDIATE:
             raise _NoRule
-        fn.emit(f"{arm} {dreg}, {dreg}, #{src.value}")
+        # x86 masks a 32-bit shift count to 5 bits; a count of 0 changes nothing
+        if count := (src.value or 0) & 31:
+            fn.emit(f"{arm} {dreg}, {dreg}, #{count}")
     else:
         # a stack-slot destination is read into ip, modified and written
         # back, so its operand's scratch register is r5

@@ -4,7 +4,7 @@ Functional correctness follows the cross-compile-and-emulate recipe: the
 candidate text is assembled and linked against the pair's compiled test
 driver using the configured toolchain, then executed under the configured
 emulator.  Exit status maps onto TestOutcome; non-Pass outcomes are sorted
-into a three-class error taxonomy by a versioned rule cascade.
+into a three-class error taxonomy by a rule cascade.
 """
 from __future__ import annotations
 
@@ -375,7 +375,6 @@ def run_functional(
 
 @dataclass(frozen=True)
 class ClassifierRules:
-    version: str
     addressing_signals: frozenset[str]
     addressing_patterns: tuple[str, ...]
     regalloc_patterns: tuple[str, ...]
@@ -392,7 +391,6 @@ def load_classifier_rules() -> ClassifierRules:
         line.strip().lower() for line in s.splitlines() if line.strip()
     )
     return ClassifierRules(
-        version=cp.get("meta", "version"),
         addressing_signals=frozenset(cp.get("addressing", "signals").split()),
         addressing_patterns=split_lines(cp.get("addressing", "log_patterns")),
         regalloc_patterns=split_lines(cp.get("register_allocation", "log_patterns")),
@@ -408,7 +406,7 @@ def classify_error(
     """Rule cascade over a non-Pass outcome.
 
     1. memory-fault crash signal or addressing text in the logs -> ADDRESSING
-    2. overwrite-without-read in the candidate's register profile, or an
+    2. a dead write in the candidate's register profile, or an
        assembler diagnostic naming a register conflict -> REGISTER_ALLOCATION
     3. everything else (bad constants, FP exceptions, wrong results,
        timeouts) -> OTHER

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from xisa.asmtext import (
@@ -14,8 +16,9 @@ from xisa.asmtext import (
     static_register_profile,
 )
 from xisa.core import IsaName, get_isa
+from xisa.toolrun import run_command
 
-from conftest import FIXTURES
+from conftest import FIXTURES, needs_gcc
 
 
 def test_arm_load_with_negative_offset():
@@ -186,16 +189,13 @@ def test_zero_fallbacks_on_compiler_fixtures(arm_corpus_units):
 def test_profile_back_to_back_writes_flagged():
     unit = parse_assembly("mov r3, r0\nmov r3, r1", IsaName.ARMV5)
     profile = static_register_profile(unit)
-    assert profile["r3"].overwrite_without_read_lines == [2]
-    assert profile["r3"].writes == 2
-    assert profile["r3"].first_write_line == 1
+    assert profile["r3"].overwrite_without_read_lines == [1]
 
 
 def test_profile_read_intervenes():
     unit = parse_assembly("mov r3, r0\nadd r1, r3, r2", IsaName.ARMV5)
     profile = static_register_profile(unit)
     assert profile["r3"].overwrite_without_read_lines == []
-    assert profile["r3"].reads == 1
 
 
 def test_profile_clobber_pattern_from_failed_translation():
@@ -203,7 +203,7 @@ def test_profile_clobber_pattern_from_failed_translation():
     predicted = "str r0, [fp, #-8]\nmov r0, #1\nldr r0, [fp, #-8]\nmul r3, r0, r0"
     unit = parse_assembly(predicted, IsaName.ARMV5)
     profile = static_register_profile(unit)
-    assert profile["r0"].overwrite_without_read_lines == [3]
+    assert profile["r0"].overwrite_without_read_lines == [2]
 
     truth = "str r0, [fp, #-8]\nmov r2, #1\nldr r3, [fp, #-8]\nmul r3, r3, r2"
     clean = static_register_profile(parse_assembly(truth, IsaName.ARMV5))
@@ -219,13 +219,79 @@ def test_profile_call_reads_argument_registers():
 def test_profile_x86_att_destination_last():
     unit = parse_assembly("movl $1, %eax\nmovl $2, %eax", IsaName.X86_64)
     profile = static_register_profile(unit)
-    assert profile["rax"].overwrite_without_read_lines == [2]
+    assert profile["rax"].overwrite_without_read_lines == [1]
 
 
 def test_profile_store_is_pure_read():
     unit = parse_assembly("mov r3, r0\nstr r3, [fp, #-4]\nmov r3, r1", IsaName.ARMV5)
     profile = static_register_profile(unit)
     assert profile["r3"].overwrite_without_read_lines == []
+
+
+def _flags(text: str, isa: IsaName) -> dict[str, list[int]]:
+    profile = static_register_profile(parse_assembly(text, isa))
+    return {r: p.overwrite_without_read_lines for r, p in profile.items()
+            if p.overwrite_without_read_lines}
+
+
+@pytest.mark.parametrize("text,isa", [
+    # both arms of an if/else write the result register
+    ("cmp r1, #0\nbeq .L2\nmov r0, #1\nb .L3\n.L2:\nmov r0, #2\n.L3:\nbx lr",
+     IsaName.ARMV5),
+    ("cmpl $0, %edi\nje .L2\nmovl $1, %eax\njmp .L3\n.L2:\nmovl $2, %eax\n.L3:\n"
+     "popq %rbp\nret", IsaName.X86_64),
+    # the value written at the bottom of the loop is read through its back edge
+    ("mov r3, #0\n.L1:\nstr r3, [fp, #-8]\nmov r3, #5\ncmp r0, #0\nbne .L1\n"
+     "mov r3, #7\nbx lr", IsaName.ARMV5),
+    # two functions, each writing r0 at its end
+    (".type f, %function\nf:\nmov r0, #1\n.type g, %function\ng:\nmov r0, #2\nbx lr",
+     IsaName.ARMV5),
+    # a write to pc leaves the function, so r0 is live after line 1
+    ("mov r0, #1\npop {fp, pc}\n.L2:\nmov r0, #2", IsaName.ARMV5),
+    ("mov r0, #1\nldm sp!, {fp, pc}\nmov r0, #2", IsaName.ARMV5),
+    ("mov r0, #1\nmov pc, lr\nmov r0, #2", IsaName.ARMV5),
+    # tail calls and indirect jumps leave it too
+    ("movl $1, %eax\njmp f\nmovl $2, %eax", IsaName.X86_64),
+    ("movl $1, %eax\njmp *%rdx\nmovl $2, %eax", IsaName.X86_64),
+    # a conditional move keeps its destination when the condition fails
+    ("mov r0, #0\ncmp r1, r2\nmovle r0, #1\nbx lr", IsaName.ARMV5),
+    ("movl $0, %eax\ncmpl %esi, %edi\ncmovl %esi, %eax\nret", IsaName.X86_64),
+])
+def test_profile_control_flow_keeps_live_writes(text, isa):
+    assert _flags(text, isa) == {}
+
+
+def test_profile_dead_write_in_a_loop_is_flagged():
+    text = "mov r0, #0\n.L1:\nmov r3, #1\nmov r3, #2\nadd r0, r0, r3\ncmp r0, #9\nble .L1\nbx lr"
+    assert _flags(text, IsaName.ARMV5) == {"r3": [3]}
+    # a branch to a label of its own function does not leave the function
+    assert _flags("mov r0, #1\nb .L2\n.L2:\nmov r0, #2", IsaName.ARMV5) == {"r0": [1]}
+
+
+def test_profile_flags_no_frozen_arm_unit(arm_corpus_units):
+    assert {u.source_id: _flags(u.raw_text, IsaName.ARMV5)
+            for u in arm_corpus_units} == {u.source_id: {} for u in arm_corpus_units}
+
+
+@needs_gcc
+def test_profile_flags_no_gcc_x86_unit(lite_cfg, tmp_path):
+    """gcc -O0 and -O2 output of every fixture C file, test drivers included."""
+    sources = sorted(FIXTURES.glob("*/*.c")) + sorted(FIXTURES.glob("*/*/*.c"))
+    assert len(sources) == 70
+    jobs = [(c, opt, tmp_path / f"{i}{opt}.s") for i, c in enumerate(sources)
+            for opt in ("-O0", "-O2")]
+
+    def compile_one(job):
+        c, opt, out = job
+        proc = run_command(lite_cfg.commands("x86_64").compile,
+                           {"input": str(c), "output": str(out), "opt": opt},
+                           lite_cfg.timeout_compile)
+        assert proc.returncode == 0, proc.stderr
+        return f"{c.relative_to(FIXTURES)} {opt}", _flags(out.read_text(), IsaName.X86_64)
+
+    with ThreadPoolExecutor(2) as pool:
+        flagged = {name: flags for name, flags in pool.map(compile_one, jobs) if flags}
+    assert flagged == {}
 
 
 def test_canonical_register_names():
@@ -318,8 +384,12 @@ _PURE_WRITE_PREFIXES = ("mov", "ldr", "lw", "ld", "lb", "lh", "li", "lui", "la",
 # where the tables correct the heuristic: movk keeps the other 48 bits
 _PREFIX_ORACLE_WRONG = {
     IsaName.ARMV8: {"movk"},
-    # partial-register writes keep the rest of the register
-    IsaName.X86_64: {"sete", "setne", "setl", "setg", "setle", "setge", "movb", "movw"},
+    # a conditional move keeps its destination when the condition fails
+    IsaName.ARMV5: {"moveq", "movne", "movlt", "movgt", "movle", "movge"},
+    # partial-register writes keep the rest of the register; gcc's frame
+    # chain pops %rbp after saving %rsp in it
+    IsaName.X86_64: {"sete", "setne", "setl", "setg", "setle", "setge", "movb", "movw",
+                     "pop", "popq", "popl"},
 }
 
 
@@ -336,7 +406,7 @@ def test_profile_movk_reads_its_destination():
     unit = parse_assembly("mov x0, #1\nmovk x0, #2, lsl #16", IsaName.ARMV8)
     assert static_register_profile(unit)["x0"].overwrite_without_read_lines == []
     unit = parse_assembly("mov x0, #1\nmov x0, #2", IsaName.ARMV8)
-    assert static_register_profile(unit)["x0"].overwrite_without_read_lines == [2]
+    assert static_register_profile(unit)["x0"].overwrite_without_read_lines == [1]
 
 
 @pytest.mark.parametrize("text", ["movl $1, %eax\nsete %al", "movb $1, %al\nmovb $2, %ah"])
@@ -347,11 +417,18 @@ def test_profile_partial_register_write_reads_its_destination(text):
 
 def test_profile_writeback_base_is_written():
     unit = parse_assembly("ldmia r0!, {r1, r2}\nmov r0, #1", IsaName.ARMV5)
-    r0 = static_register_profile(unit)["r0"]
-    assert (r0.writes, r0.overwrite_without_read_lines) == (2, [2])
+    assert static_register_profile(unit)["r0"].overwrite_without_read_lines == [1]
     unit = parse_assembly("ldmia r0, {r1, r2}\nmov r0, #1", IsaName.ARMV5)
-    r0 = static_register_profile(unit)["r0"]
-    assert (r0.writes, r0.overwrite_without_read_lines) == (1, [])
+    assert static_register_profile(unit)["r0"].overwrite_without_read_lines == []
+
+
+# a pure move of the second register into the first, per ISA
+_PURE_MOVE = {
+    IsaName.X86_64: "movq %{1}, %{0}",
+    IsaName.ARMV5: "mov {0}, {1}",
+    IsaName.ARMV8: "mov {0}, {1}",
+    IsaName.RISCV64: "mv {0}, {1}",
+}
 
 
 @pytest.mark.parametrize("isa", list(IsaName))
@@ -361,8 +438,11 @@ def test_profile_unlisted_mnemonic_writes_and_reads_first_operand(isa):
     first, second = list(get_isa(isa).registers)[:2]
     line = f"movhi {sigil}{first}, {sigil}{second}\n"
     profile = static_register_profile(parse_assembly(line * 2, isa))
-    assert profile[first] == RegisterProfile(2, 2, 1, [])
-    assert profile[second] == RegisterProfile(0, 2, None, [])
+    assert profile == {first: RegisterProfile([]), second: RegisterProfile([])}
+    # its write to the first operand is dead under a pure move; the second
+    # operand is only read
+    assert _flags(line + _PURE_MOVE[isa].format(first, second), isa) == {first: [1]}
+    assert _flags(line + _PURE_MOVE[isa].format(second, first), isa) == {}
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,21 @@ def test_rule_stack_slot_destination_immediates_are_encodable(x86, arm):
     assert _rule_body(x86) == arm
 
 
+@pytest.mark.parametrize(
+    "x86, arm",
+    [
+        ("sall $31, %eax", ["lsl r0, r0, #31"]),
+        ("sall $40, %eax", ["lsl r0, r0, #8"]),
+        ("shrl $-1, %eax", ["lsr r0, r0, #31"]),
+        ("sarl $0, %eax", []),
+        ("shll $32, %eax", []),
+    ],
+)
+def test_rule_shift_count_is_masked_to_five_bits(x86, arm):
+    # GNU as accepts any 8-bit count, and the CPU uses its low five bits
+    assert _rule_body(x86) == arm
+
+
 _DP_IMMEDIATE = re.compile(r"^\t(?:add|sub|rsb|and|orr|eor|cmp|cmn|mov|mvn) .*#(-?\d+)$")
 
 # gcc -O0 units the rule subset covers

@@ -370,7 +370,6 @@ def test_classifier_total_and_deterministic():
         assert first is classify_error(outcome, "no patterns here", unit)
     with pytest.raises(ValueError):
         classify_error(TestOutcome.passed(), "", unit)
-    assert load_classifier_rules().version == "rules-v1"
     assert load_classifier_rules() is load_classifier_rules()  # read once
 
 
@@ -644,16 +643,32 @@ def _x86_broken(pair: TranspilePair, kind: str) -> str:
 def test_one_broken_candidate_per_outcome_gcc_only(mini_pairs_x86, kind, expected):
     pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
     candidate = _x86_broken(pair, kind)
+    # only the memory fault is addressing; no candidate names a register conflict
+    error_class = ErrorClass.ADDRESSING if kind == "null_load" else ErrorClass.OTHER
     for profile in X86_PROFILES:
         shipped = (CONFIGS / f"{profile}.cfg").read_text(encoding="utf-8")
         assert shipped.count("timeout_run = 10\n") == 1
         cfg = parse_config(shipped.replace("timeout_run = 10\n", "timeout_run = 1\n"))
         outcome, logs = run_functional(candidate, pair, cfg)
         assert outcome.describe() == expected, (profile, logs)
-        error_class = classify_error(outcome, logs, parse_assembly(candidate, IsaName.X86_64))
-        # the other classes move with the control-flow-aware register profile
-        if kind == "null_load":
-            assert error_class is ErrorClass.ADDRESSING, profile
+        unit = parse_assembly(candidate, IsaName.X86_64)
+        assert classify_error(outcome, logs, unit) is error_class, profile
+
+
+@needs_gcc
+def test_off_by_one_candidates_are_other_gcc_only(mini_pairs_x86, lite_cfg):
+    # gcc's correct code with every return value off by one names no register
+    # conflict, so the README taxonomy files it under other
+    assert len(mini_pairs_x86) == 12
+    classes = {}
+    for pair in mini_pairs_x86:
+        truth = pair.target.normalized_text
+        candidate = truth.replace("popq %rbp\nret\n", "addl $1, %eax\npopq %rbp\nret\n")
+        assert candidate != truth, pair.pair_id
+        outcome, logs = run_functional(candidate, pair, lite_cfg)
+        unit = parse_assembly(candidate, IsaName.X86_64)
+        classes[pair.pair_id] = (outcome.describe(), classify_error(outcome, logs, unit))
+    assert classes == {p.pair_id: ("test_failed(1)", ErrorClass.OTHER) for p in mini_pairs_x86}
 
 
 @needs_gcc
