@@ -509,11 +509,14 @@ def _effects(insn: Instruction, isa: Isa, bit: dict[str, int]) -> tuple[int, int
     """The registers ``insn`` reads and writes, by the ISA's role table, as
     masks over ``bit`` (register -> its bit), which grows by each new register.
     A register operand written back with ``!`` (``ldmia r0!, {r1, r2}``) is
-    read and written.
+    read and written.  So is the base of an ARM memory operand written back:
+    pre-indexed with ``!`` (``str r0, [r1, #4]!``) or post-indexed, followed
+    by its offset (``ldr fp, [sp], #4``).
     """
     # an unlisted mnemonic writes, and also reads, its first operand
     positions, pure = load_role_table(isa.name).get(insn.mnemonic, ((0,), False))
     n_ops = len(insn.operands)
+    arm = isa.syntax_family is SyntaxFamily.ARM_UAL
     reads = writes = 0
     for i, op in enumerate(insn.operands):
         mask = 0
@@ -528,6 +531,10 @@ def _effects(insn: Instruction, isa: Isa, bit: dict[str, int]) -> tuple[int, int
             reads |= mask
             if op.kind is OperandKind.REGISTER and op.text.endswith("!"):
                 writes |= mask
+            elif op.kind is OperandKind.MEMORY and arm and (
+                op.text.endswith("!") or i < n_ops - 1
+            ):
+                writes |= bit[canonical_register(op.base, isa)]
     return reads, writes
 
 

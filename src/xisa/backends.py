@@ -11,8 +11,7 @@ candidates out.  Three are built in:
   without any model.
 * ``remote``: HTTP client for completion-serving inference servers.
 
-All backends are deterministic when sampling is disabled: equal requests
-yield equal candidate text.
+All backends are deterministic: equal requests yield equal candidate text.
 """
 from __future__ import annotations
 
@@ -393,9 +392,9 @@ _MAX_IN_FLIGHT = 4  # concurrent requests per RemoteBackend
 class RemoteBackend(Backend):
     """HTTP JSON completions client for any served model.
 
-    POST {endpoint}/v1/completions with {prompt, max_tokens, temperature, n};
-    expects {"choices": [{"text": ...}, ...]}.  Retries are bounded and safe
-    because decoding is deterministic.
+    POST {endpoint}/v1/completions with {prompt, max_tokens, temperature, n},
+    temperature always 0; expects {"choices": [{"text": ...}, ...]}.  Retries
+    are bounded and safe because decoding is deterministic.
     """
 
     backend_id = "remote"
@@ -419,7 +418,7 @@ class RemoteBackend(Backend):
         payload = {
             "prompt": f"{self.preamble}\n{req.source_text}",
             "max_tokens": req.params.max_new_tokens,
-            "temperature": 1.0 if req.params.sampling_enabled else 0.0,
+            "temperature": 0.0,
             "n": req.params.num_beams,
         }
         # imported here: only remote runs pay for the HTTP client

@@ -116,23 +116,23 @@ def _cmd_dataset(args: argparse.Namespace, argv: list[str]) -> int:
             count += 1
             token_x86 += pair.token_count_x86
             token_tgt += pair.token_count_target
-        manifest_file = dataset_mod.manifest_path_for(args.store)
         print(f"records: {count}")
         if count:
             print(f"mean tokens x86:    {token_x86 / count:.1f}")
             print(f"mean tokens target: {token_tgt / count:.1f}")
-        if manifest_file.exists():
-            manifest = dataset_mod.read_manifest(manifest_file)
-            print(f"manifest records: {manifest.records}")
-            print(f"target ISA: {manifest.target_isa}  opt: {manifest.opt_level}")
-            for isa, fp in manifest.toolchain_fingerprints.items():
+            # one build: every record has the same target and opt level
+            print(f"target ISA: {pair.target_isa.value}  opt: {pair.opt_level}")
+        sidecar = Path(args.store + ".run.json")
+        if sidecar.exists():
+            run = json.loads(sidecar.read_text(encoding="utf-8"))
+            for isa, fp in run["tool_versions"].items():
                 print(f"  {isa}: {fp}")
         return 0
 
     started = _now()
     cfg = _load_cfg(args)
     spec = _vocab_or_baseline(args.vocab)
-    manifest = dataset_mod.build_corpus(
+    written = dataset_mod.build_corpus(
         args.src,
         args.target,
         cfg,
@@ -142,9 +142,12 @@ def _cmd_dataset(args: argparse.Namespace, argv: list[str]) -> int:
         tokenizer_spec=spec,
         jobs=args.jobs,
     )
-    _write_run_sidecar(argv, started, args.out, cfg, manifest.toolchain_fingerprints)
-    print(f"built {manifest.records} pairs -> {args.out}")
-    return 0 if manifest.records > 0 else 1
+    versions = dataset_mod.toolchain_fingerprints(
+        cfg, [IsaName.X86_64, IsaName(args.target)]
+    )
+    _write_run_sidecar(argv, started, args.out, cfg, versions)
+    print(f"built {written} pairs -> {args.out}")
+    return 0 if written > 0 else 1
 
 
 def _cmd_tokenizer(args: argparse.Namespace, argv: list[str]) -> int:

@@ -157,13 +157,12 @@ def get_isa(name: IsaName | str) -> Isa:
 class GenerationParams:
     """Decoding knobs forwarded to transpiler backends.
 
-    With sampling disabled (the default), a conforming backend must return
-    identical candidate text for identical requests.
+    Decoding is deterministic: a conforming backend must return identical
+    candidate text for identical requests.
     """
 
     num_beams: int = 1
     max_new_tokens: int = 8192
-    sampling_enabled: bool = False
     context_window: int = 16384
 
     def __post_init__(self) -> None:
@@ -206,7 +205,6 @@ _KNOWN_GLOBAL_KEYS = {
     "timeout_compile",
     "timeout_run",
     "prompt_preamble",
-    "prompt_version",
 }
 _KNOWN_ISA_KEYS = {"compile", "assemble_link", "emulate"}
 
@@ -225,7 +223,6 @@ class ToolchainConfig:
     timeout_compile: float = 30.0
     timeout_run: float = 10.0
     prompt_preamble: str = DEFAULT_PROMPT_PREAMBLE
-    prompt_version: str = "v1"
 
     def __post_init__(self) -> None:
         if self.timeout_compile <= 0:
@@ -259,7 +256,6 @@ class ToolchainConfig:
         cp.set(_GLOBAL_SECTION, "timeout_compile", repr(self.timeout_compile))
         cp.set(_GLOBAL_SECTION, "timeout_run", repr(self.timeout_run))
         cp.set(_GLOBAL_SECTION, "prompt_preamble", self.prompt_preamble)
-        cp.set(_GLOBAL_SECTION, "prompt_version", self.prompt_version)
         for name, cmds in self.entries.items():
             section = name.value
             cp.add_section(section)
@@ -288,16 +284,12 @@ def parse_config(text: str) -> ToolchainConfig:
     timeout_compile = 30.0
     timeout_run = 10.0
     preamble = DEFAULT_PROMPT_PREAMBLE
-    preamble_version = "v1"
     if cp.has_section(_GLOBAL_SECTION):
         for key in cp.options(_GLOBAL_SECTION):
             if key not in _KNOWN_GLOBAL_KEYS:
                 raise ConfigError(f"unknown key {key!r} in [global]")
         opt_level = cp.get(_GLOBAL_SECTION, "opt_level", fallback=opt_level)
         preamble = cp.get(_GLOBAL_SECTION, "prompt_preamble", fallback=preamble)
-        preamble_version = cp.get(
-            _GLOBAL_SECTION, "prompt_version", fallback=preamble_version
-        )
         for key, current in (
             ("timeout_compile", timeout_compile),
             ("timeout_run", timeout_run),
@@ -349,7 +341,6 @@ def parse_config(text: str) -> ToolchainConfig:
         timeout_compile=timeout_compile,
         timeout_run=timeout_run,
         prompt_preamble=preamble,
-        prompt_version=preamble_version,
     )
 
 

@@ -2,12 +2,11 @@
 
 Each record pairs the x86 assembly of a C file with the same file cross
 compiled to a RISC target at the same optimization level.  Records persist as
-newline-delimited JSON, one self-contained object per pair, with a manifest
-written after the store so readers can trust the record count.
+newline-delimited JSON, one self-contained object per pair.  A store is written
+to a temporary file and renamed into place, so a store that exists is complete.
 """
 from __future__ import annotations
 
-import datetime
 import hashlib
 import json
 import logging
@@ -29,7 +28,6 @@ from .toolrun import run_command, tool_version_line
 log = logging.getLogger(__name__)
 
 PAIR_SCHEMA = "xisa.pair/v1"
-MANIFEST_SCHEMA = "xisa.manifest/v1"
 
 
 @dataclass(frozen=True)
@@ -51,16 +49,6 @@ class TranspilePair:
     token_count_target: int
     test_source_path: str | None = None
     build_log: str = ""
-
-
-@dataclass(frozen=True)
-class CorpusManifest:
-    records: int
-    target_isa: str
-    opt_level: str
-    tokenizer_version: str
-    toolchain_fingerprints: dict[str, str]
-    created_at: str
 
 
 def _pair_id(c_path: Path) -> str:
@@ -95,35 +83,36 @@ def compile_pair(
     test_source_path: str | None = None,
     pair_id: str | None = None,
 ) -> TranspilePair:
-    """Compile one C file to x86 and the target ISA, parse and normalize both."""
+    """Compile one C file to x86 and the target ISA, parse and normalize both.
+
+    Each distinct ISA is compiled once: an x86_64 target shares the x86 side.
+    """
     c_path = Path(c_path)
     target = IsaName(target_isa)
     if pair_id is None:
         pair_id = _pair_id(c_path)
+    sides: dict[IsaName, tuple[AsmSide, int]] = {}
+    build_log = ""
     with tempfile.TemporaryDirectory(prefix="xisa-pair-") as td:
-        x86_s = Path(td) / "x86.s"
-        tgt_s = Path(td) / "target.s"
-        log_x86 = _compile_to_asm(c_path, IsaName.X86_64, cfg, x86_s)
-        log_tgt = _compile_to_asm(c_path, target, cfg, tgt_s)
-        x86_raw = x86_s.read_text(encoding="utf-8", errors="replace")
-        tgt_raw = tgt_s.read_text(encoding="utf-8", errors="replace")
-
-    x86_unit = parse_assembly(x86_raw, IsaName.X86_64, source_id=pair_id)
-    tgt_unit = parse_assembly(tgt_raw, target, source_id=pair_id)
-    x86_norm = normalize(x86_unit)
-    tgt_norm = normalize(tgt_unit)
+        for isa in dict.fromkeys((IsaName.X86_64, target)):
+            asm_path = Path(td) / f"{isa.value}.s"
+            build_log += _compile_to_asm(c_path, isa, cfg, asm_path)
+            raw = asm_path.read_text(encoding="utf-8", errors="replace")
+            norm = normalize(parse_assembly(raw, isa, source_id=pair_id))
+            sides[isa] = AsmSide(raw, norm), tok.token_count(norm, tokenizer_spec)
+    (x86, count_x86), (tgt, count_tgt) = sides[IsaName.X86_64], sides[target]
     return TranspilePair(
         pair_id=pair_id,
         c_source_path=str(c_path),
         target_isa=target,
-        x86=AsmSide(x86_raw, x86_norm),
-        target=AsmSide(tgt_raw, tgt_norm),
+        x86=x86,
+        target=tgt,
         opt_level=cfg.optimization_level,
         tokenizer_version=tokenizer_spec.version,
-        token_count_x86=tok.token_count(x86_norm, tokenizer_spec),
-        token_count_target=tok.token_count(tgt_norm, tokenizer_spec),
+        token_count_x86=count_x86,
+        token_count_target=count_tgt,
         test_source_path=test_source_path,
-        build_log=(log_x86 + log_tgt).strip(),
+        build_log=build_log.strip(),
     )
 
 
@@ -172,30 +161,12 @@ def read_store(path: str | Path) -> Iterator[TranspilePair]:
                 yield record_to_pair(json.loads(line))
 
 
-def read_manifest(path: str | Path) -> CorpusManifest:
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
-    if record.get("schema") != MANIFEST_SCHEMA:
-        raise StoreWriteFailed(f"unexpected manifest schema {record.get('schema')!r}")
-    return CorpusManifest(
-        records=record["records"],
-        target_isa=record["target_isa"],
-        opt_level=record["opt_level"],
-        tokenizer_version=record["tokenizer_version"],
-        toolchain_fingerprints=record["toolchain_fingerprints"],
-        created_at=record["created_at"],
-    )
-
-
-def manifest_path_for(store_path: str | Path) -> Path:
-    return Path(str(store_path) + ".manifest.json")
-
-
 def toolchain_fingerprints(
     cfg: ToolchainConfig, isas: list[IsaName]
 ) -> dict[str, str]:
-    """Command template plus reported tool version, per ISA."""
+    """Command template plus reported tool version, per distinct ISA."""
     out: dict[str, str] = {}
-    for isa in isas:
+    for isa in dict.fromkeys(isas):
         template = cfg.commands(isa).compile
         out[isa.value] = f"{template} :: {tool_version_line(template)}"
     return out
@@ -210,11 +181,11 @@ def build_corpus(
     seed: int = 0,
     tokenizer_spec: tok.TokenizerSpec = tok.BYTE_BASELINE,
     jobs: int = 1,
-) -> CorpusManifest:
+) -> int:
     """Compile a (seeded, sorted) sample of src_dir/*.c into the pair store.
 
-    Files that fail to compile are logged and skipped; the manifest is written
-    last and records the number of pairs actually persisted.
+    Files that fail to compile are logged and skipped; returns the number of
+    pairs written.
     """
     target = IsaName(target_isa)
     src = Path(src_dir)
@@ -253,19 +224,7 @@ def build_corpus(
     except OSError as exc:
         raise StoreWriteFailed(f"cannot write store {store_path}: {exc}") from exc
     os.replace(tmp_path, store_path)
-
-    manifest = CorpusManifest(
-        records=written,
-        target_isa=target.value,
-        opt_level=cfg.optimization_level,
-        tokenizer_version=tokenizer_spec.version,
-        toolchain_fingerprints=toolchain_fingerprints(cfg, [IsaName.X86_64, target]),
-        created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
-    mpath = manifest_path_for(store_path)
-    record = {"schema": MANIFEST_SCHEMA, **manifest.__dict__}
-    mpath.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
-    return manifest
+    return written
 
 
 def load_eval_suite(

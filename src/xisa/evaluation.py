@@ -401,7 +401,6 @@ def classify_error(
     outcome: TestOutcome,
     logs: str,
     candidate: AssemblyUnit,
-    rules: ClassifierRules | None = None,
 ) -> ErrorClass:
     """Rule cascade over a non-Pass outcome.
 
@@ -413,7 +412,7 @@ def classify_error(
     """
     if outcome.is_pass:
         raise ValueError("classify_error is defined for non-Pass outcomes only")
-    rules = rules or load_classifier_rules()
+    rules = load_classifier_rules()
     lowered = logs.lower()
 
     if outcome.status is OutcomeStatus.RUNTIME_CRASH:

@@ -420,6 +420,32 @@ def test_profile_writeback_base_is_written():
     assert static_register_profile(unit)["r0"].overwrite_without_read_lines == [1]
     unit = parse_assembly("ldmia r0, {r1, r2}\nmov r0, #1", IsaName.ARMV5)
     assert static_register_profile(unit)["r0"].overwrite_without_read_lines == []
+    # an ARM memory operand writes its base back when pre-indexed with `!`
+    # or post-indexed, i.e. followed by another operand
+    assert _flags("str r0, [r1, #4]!\nmov r1, #0", IsaName.ARMV5) == {"r1": [1]}
+    assert _flags("ldr fp, [sp], #4\nmov sp, r0", IsaName.ARMV5) == {"r13": [1]}
+    assert _flags("str r0, [r1, #4]\nmov r1, #0", IsaName.ARMV5) == {}
+    # an x86 memory operand followed by another operand writes nothing back
+    assert _flags("movl (%rbx), %eax\nmovq $0, %rbx", IsaName.X86_64) == {}
+
+
+def test_profile_arm_o0_frame_flags_nothing():
+    # gcc -O0's frame for `int f(int a) { return a + 1; }`: fp pushed with a
+    # pre-indexed store, popped with a post-indexed load
+    frame = (
+        "f:\n"
+        "\tstr fp, [sp, #-4]!\n"
+        "\tadd fp, sp, #0\n"
+        "\tsub sp, sp, #12\n"
+        "\tstr r0, [fp, #-8]\n"
+        "\tldr r3, [fp, #-8]\n"
+        "\tadd r3, r3, #1\n"
+        "\tmov r0, r3\n"
+        "\tadd sp, fp, #0\n"
+        "\tldr fp, [sp], #4\n"
+        "\tbx lr\n"
+    )
+    assert _flags(frame, IsaName.ARMV5) == {}
 
 
 # a pure move of the second register into the first, per ISA

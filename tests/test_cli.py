@@ -68,6 +68,30 @@ def test_dataset_build_and_inspect(tmp_path, capsys):
     assert "records: 3" in capsys.readouterr().out
 
 
+@needs_gcc
+def test_dataset_build_and_inspect_x86_64_gcc_only(tmp_path, capsys):
+    out = tmp_path / "pairs.ndjson"
+    rc = main(
+        ["dataset", "build", "--src", str(FIXTURES / "c_corpus"),
+         "--target", "x86_64", "--sample", "2", "--config", LITE, "--out", str(out)]
+    )
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "pairs.ndjson", "pairs.ndjson.run.json"
+    ]
+    versions = json.loads((tmp_path / "pairs.ndjson.run.json").read_text())[
+        "tool_versions"
+    ]
+    assert list(versions) == ["x86_64"]
+    capsys.readouterr()
+    assert main(["dataset", "inspect", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "records: 2"
+    assert "target ISA: x86_64  opt: -O0" in lines
+    assert f"  x86_64: {versions['x86_64']}" in lines
+    assert "gcc" in versions["x86_64"]
+
+
 def test_config_fingerprint_covers_expanded_commands(tmp_path, monkeypatch):
     cfg_path = tmp_path / "env.cfg"
     cfg_path.write_text("[x86_64]\ncompile = $XCC {opt} -S {input} -o {output}\n")

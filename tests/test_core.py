@@ -91,6 +91,9 @@ def test_unknown_isa_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="frobnicate"):
         parse_config(MINIMAL + "\n[global]\nfrobnicate = 1\n")
+    # a retired key is unknown too
+    with pytest.raises(ConfigError, match="prompt_version"):
+        parse_config(MINIMAL + "\n[global]\nprompt_version = v1\n")
 
 
 def test_config_roundtrip(tmp_path):
@@ -152,7 +155,6 @@ def test_missing_command_named_in_error():
 def test_generation_params_validation():
     params = GenerationParams()
     assert params.num_beams == 1
-    assert params.sampling_enabled is False
     assert params.context_window == 16384
     with pytest.raises(ValueError):
         GenerationParams(num_beams=0)

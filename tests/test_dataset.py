@@ -13,11 +13,10 @@ from xisa.dataset import (
     build_corpus,
     compile_pair,
     load_eval_suite,
-    manifest_path_for,
     pair_to_record,
-    read_manifest,
     read_store,
     record_to_pair,
+    toolchain_fingerprints,
 )
 from xisa.errors import CompileFailed, LayoutError, NoSources
 
@@ -73,17 +72,17 @@ def test_compile_pair_riscv_target(lite_cfg, tmp_path):
 def test_build_corpus_seeded_sampling_is_reproducible(lite_cfg, tmp_path):
     store_a = tmp_path / "a.ndjson"
     store_b = tmp_path / "b.ndjson"
-    m_a = build_corpus(C_CORPUS, IsaName.ARMV5, lite_cfg, store_a, sample=5, seed=7)
-    m_b = build_corpus(C_CORPUS, IsaName.ARMV5, lite_cfg, store_b, sample=5, seed=7)
+    n_a = build_corpus(C_CORPUS, IsaName.ARMV5, lite_cfg, store_a, sample=5, seed=7)
+    n_b = build_corpus(C_CORPUS, IsaName.ARMV5, lite_cfg, store_b, sample=5, seed=7)
     ids_a = sorted(p.pair_id for p in read_store(store_a))
     ids_b = sorted(p.pair_id for p in read_store(store_b))
-    assert m_a.records == m_b.records == 5
+    assert n_a == n_b == 5
     assert ids_a == ids_b
     different = build_corpus(
         C_CORPUS, IsaName.ARMV5, lite_cfg, tmp_path / "c.ndjson", sample=5, seed=8
     )
     ids_c = sorted(p.pair_id for p in read_store(tmp_path / "c.ndjson"))
-    assert different.records == 5
+    assert different == 5
     assert ids_c != ids_a  # overwhelmingly likely under a different seed
 
 
@@ -91,10 +90,10 @@ def test_build_corpus_seeded_sampling_is_reproducible(lite_cfg, tmp_path):
 def test_build_corpus_clamps_oversized_sample(lite_cfg, tmp_path, caplog):
     store = tmp_path / "s.ndjson"
     with caplog.at_level("WARNING"):
-        manifest = build_corpus(
+        written = build_corpus(
             C_CORPUS, IsaName.ARMV5, lite_cfg, store, sample=999, seed=0
         )
-    assert manifest.records == 20
+    assert written == 20
     assert any("exceeds available" in r.message for r in caplog.records)
 
 
@@ -107,8 +106,8 @@ def test_build_corpus_skips_uncompilable(lite_cfg, tmp_path, caplog):
     (src / "broken.c").write_text("int broken( {\n")
     store = tmp_path / "s.ndjson"
     with caplog.at_level("WARNING"):
-        manifest = build_corpus(src, IsaName.ARMV5, lite_cfg, store)
-    assert manifest.records == 9
+        written = build_corpus(src, IsaName.ARMV5, lite_cfg, store)
+    assert written == 9
     assert any("skipping" in r.message for r in caplog.records)
 
 
@@ -125,20 +124,14 @@ def test_store_roundtrip(lite_cfg, tmp_path):
     assert record_to_pair(json.loads(json.dumps(pair_to_record(pair)))) == pair
 
 
-@needs_lite
-def test_manifest_written_last_and_counts_match(lite_cfg, tmp_path):
-    store = tmp_path / "s.ndjson"
-    manifest = build_corpus(C_CORPUS, IsaName.ARMV5, lite_cfg, store, sample=3, seed=1)
-    on_disk = read_manifest(manifest_path_for(store))
-    assert on_disk.records == manifest.records == len(list(read_store(store)))
-    assert on_disk.target_isa == "armv5"
-    assert on_disk.opt_level == "-O0"
-
-
 def _fake_compiler(tmp_path: Path, version: str) -> str:
+    """A compiler that writes one `nop` and logs its arguments, one call a
+    line, to fakecc-<version>.log."""
     script = tmp_path / f"fakecc-{version}.sh"
+    calls = tmp_path / f"fakecc-{version}.log"
     script.write_text(
         "#!/bin/sh\n"
+        f'echo "$*" >> "{calls}"\n'
         f'if [ "$1" = "--version" ]; then echo "fakecc {version}"; exit 0; fi\n'
         'out=""\n'
         'prev=""\n'
@@ -149,23 +142,59 @@ def _fake_compiler(tmp_path: Path, version: str) -> str:
     return str(script)
 
 
-def test_fingerprint_tracks_compiler_version(tmp_path):
-    cc_v1 = _fake_compiler(tmp_path, "1.0")
-    cc_v2 = _fake_compiler(tmp_path, "2.0")
-    template = (
+def _fake_calls(tmp_path: Path, version: str) -> list[str]:
+    calls = tmp_path / f"fakecc-{version}.log"
+    return calls.read_text().splitlines() if calls.exists() else []
+
+
+def _fake_cfg(tmp_path: Path, version: str = "1.0"):
+    return parse_config(
         "[x86_64]\ncompile = {cc} -S {{opt}} {{input}} -o {{output}}\n"
-        "[armv5]\ncompile = {cc} -S {{opt}} {{input}} -o {{output}}\n"
+        "[armv5]\ncompile = {cc} -S {{opt}} {{input}} -o {{output}}\n".format(
+            cc=_fake_compiler(tmp_path, version)
+        )
     )
-    cfg_v1 = parse_config(template.format(cc=cc_v1))
-    cfg_v2 = parse_config(template.format(cc=cc_v2))
+
+
+def test_fingerprint_tracks_compiler_version(tmp_path):
+    isas = [IsaName.X86_64, IsaName.ARMV5]
+    fp1 = toolchain_fingerprints(_fake_cfg(tmp_path, "1.0"), isas)
+    fp2 = toolchain_fingerprints(_fake_cfg(tmp_path, "2.0"), isas)
+    assert fp1 != fp2
+    assert "fakecc 1.0" in fp1["x86_64"] and "fakecc 1.0" in fp1["armv5"]
+    assert "fakecc 2.0" in fp2["x86_64"]
+
+
+def test_fingerprint_probes_each_isa_once(tmp_path):
+    fps = toolchain_fingerprints(_fake_cfg(tmp_path), [IsaName.X86_64, IsaName.X86_64])
+    assert list(fps) == ["x86_64"]
+    assert _fake_calls(tmp_path, "1.0") == ["--version"]
+
+
+def test_compile_pair_compiles_each_distinct_isa_once(tmp_path):
+    cfg = _fake_cfg(tmp_path)
+    c_file = tmp_path / "a.c"
+    c_file.write_text("int a;\n")
+    pair = compile_pair(c_file, IsaName.X86_64, cfg)
+    assert len(_fake_calls(tmp_path, "1.0")) == 1
+    assert pair.target is pair.x86
+    assert pair.token_count_target == pair.token_count_x86
+    compile_pair(c_file, IsaName.ARMV5, cfg)
+    assert len(_fake_calls(tmp_path, "1.0")) == 3
+
+
+def test_build_corpus_returns_record_count_and_writes_no_manifest(tmp_path):
     src = tmp_path / "src"
     src.mkdir()
-    (src / "a.c").write_text("int a;\n")
-    m1 = build_corpus(src, IsaName.ARMV5, cfg_v1, tmp_path / "s1.ndjson")
-    m2 = build_corpus(src, IsaName.ARMV5, cfg_v2, tmp_path / "s2.ndjson")
-    assert m1.toolchain_fingerprints != m2.toolchain_fingerprints
-    assert "fakecc 1.0" in m1.toolchain_fingerprints["x86_64"]
-    assert "fakecc 2.0" in m2.toolchain_fingerprints["x86_64"]
+    for name in ("a", "b", "c"):
+        (src / f"{name}.c").write_text(f"int {name};\n")
+    store = tmp_path / "out" / "s.ndjson"
+    store.parent.mkdir()
+    assert build_corpus(src, IsaName.ARMV5, _fake_cfg(tmp_path), store) == 3
+    assert len(list(read_store(store))) == 3
+    assert sorted(p.name for p in store.parent.iterdir()) == ["s.ndjson"]
+    # two compiles per file, and no --version probe
+    assert len(_fake_calls(tmp_path, "1.0")) == 6
 
 
 @needs_lite
