@@ -395,46 +395,25 @@ def parse_assembly(
     )
 
 
-@dataclass(frozen=True)
-class NormalizationPolicy:
-    """Controls what normalize() drops before metric computation."""
-
-    strip_comments: bool = True
-    drop_blank: bool = True
-    volatile_directives: frozenset[str] = frozenset({".file", ".ident"})
-
-    @classmethod
-    def raw(cls) -> "NormalizationPolicy":
-        """Keep everything; only whitespace is canonicalized."""
-        return cls(
-            strip_comments=False, drop_blank=False, volatile_directives=frozenset()
-        )
+# directives that name the source file and the compiler, not the code
+VOLATILE_DIRECTIVES = frozenset({".file", ".ident"})
 
 
-DEFAULT_POLICY = NormalizationPolicy()
-
-
-def normalize(unit: AssemblyUnit, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
+def normalize(unit: AssemblyUnit, raw: bool = False) -> str:
     """Deterministic text for edit distance / exact match.
 
     Comments stripped, blank lines dropped, whitespace canonicalized, volatile
     directives (.file/.ident) removed.  Labels, other directives and
     instruction text survive byte-for-byte after whitespace canonicalization.
+    ``raw`` keeps every line; only whitespace is canonicalized.
     """
     out: list[str] = []
     for line in unit.lines:
-        if line.kind is LineKind.COMMENT:
-            if not policy.strip_comments:
-                out.append(line.text_normalized)
-        elif line.kind is LineKind.BLANK:
-            if not policy.drop_blank:
-                out.append("")
-        elif line.kind is LineKind.DIRECTIVE:
-            name = line.text_normalized.split(None, 1)[0]
-            if name not in policy.volatile_directives:
-                out.append(line.text_normalized)
-        else:
+        if raw or line.kind is LineKind.INSTRUCTION or line.kind is LineKind.LABEL:
             out.append(line.text_normalized)
+        elif line.kind is LineKind.DIRECTIVE:
+            if line.text_normalized.split(None, 1)[0] not in VOLATILE_DIRECTIVES:
+                out.append(line.text_normalized)
     if not out:
         return ""
     return "\n".join(out) + "\n"
@@ -513,8 +492,9 @@ def _effects(insn: Instruction, isa: Isa, bit: dict[str, int]) -> tuple[int, int
     pre-indexed with ``!`` (``str r0, [r1, #4]!``) or post-indexed, followed
     by its offset (``ldr fp, [sp], #4``).
     """
-    # an unlisted mnemonic writes, and also reads, its first operand
-    positions, pure = load_role_table(isa.name).get(insn.mnemonic, ((0,), False))
+    # an unlisted mnemonic reads every register it names and writes none of
+    # its operands: a missed write costs a flag, a guessed one a false flag
+    positions, pure = load_role_table(isa.name).get(insn.mnemonic, ((), False))
     n_ops = len(insn.operands)
     arm = isa.syntax_family is SyntaxFamily.ARM_UAL
     reads = writes = 0

@@ -24,7 +24,7 @@ from . import bench as bench_mod
 from . import dataset as dataset_mod
 from . import evaluation as eval_mod
 from . import tokenizer as tok
-from .asmtext import DEFAULT_POLICY, NormalizationPolicy, parse_assembly
+from .asmtext import parse_assembly
 from .backends import TranspileRequest, make_backend
 from .core import GenerationParams, IsaName, ToolchainConfig, load_config
 from .dataset import read_store
@@ -41,7 +41,7 @@ def _now() -> str:
 
 def _config_fingerprint(cfg: ToolchainConfig) -> str:
     """Hash of the parsed config, so it covers commands after $VAR expansion."""
-    return hashlib.sha256(cfg.to_text().encode()).hexdigest()[:16]
+    return hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
 
 
 def make_run_record(
@@ -92,12 +92,6 @@ def _load_cfg(args: argparse.Namespace) -> ToolchainConfig:
     if not path:
         raise ConfigError("no toolchain config: pass --config or set XISA_CONFIG")
     return load_config(path)
-
-
-def _policy(args: argparse.Namespace) -> NormalizationPolicy:
-    if getattr(args, "policy", "default") == "raw":
-        return NormalizationPolicy.raw()
-    return DEFAULT_POLICY
 
 
 def _vocab_or_baseline(path: str | None) -> tok.TokenizerSpec:
@@ -234,7 +228,7 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
         backend,
         params,
         cfg,
-        policy=_policy(args),
+        raw=args.policy == "raw",
         jobs=args.jobs,
         line_level=args.line_level,
     )

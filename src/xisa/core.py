@@ -7,7 +7,6 @@ a tool; existence of the referenced executables is checked lazily at first use.
 from __future__ import annotations
 
 import configparser
-import io
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -247,27 +246,6 @@ class ToolchainConfig:
                     f"toolchain entry for {IsaName(isa).value!r} lacks {f!r}"
                 )
         return cmds
-
-    def to_text(self) -> str:
-        """Serialize back to the INI form accepted by load_config."""
-        cp = configparser.RawConfigParser()
-        cp.add_section(_GLOBAL_SECTION)
-        cp.set(_GLOBAL_SECTION, "opt_level", self.optimization_level)
-        cp.set(_GLOBAL_SECTION, "timeout_compile", repr(self.timeout_compile))
-        cp.set(_GLOBAL_SECTION, "timeout_run", repr(self.timeout_run))
-        cp.set(_GLOBAL_SECTION, "prompt_preamble", self.prompt_preamble)
-        for name, cmds in self.entries.items():
-            section = name.value
-            cp.add_section(section)
-            if cmds.compile:
-                cp.set(section, "compile", cmds.compile)
-            if cmds.assemble_link:
-                cp.set(section, "assemble_link", "\n" + "\n".join(cmds.assemble_link))
-            if cmds.emulate:
-                cp.set(section, "emulate", cmds.emulate)
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
 
 
 def parse_config(text: str) -> ToolchainConfig:

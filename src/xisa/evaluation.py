@@ -25,14 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import toolrun
-from .asmtext import (
-    DEFAULT_POLICY,
-    AssemblyUnit,
-    NormalizationPolicy,
-    normalize,
-    parse_assembly,
-    static_register_profile,
-)
+from .asmtext import AssemblyUnit, normalize, parse_assembly, static_register_profile
 from .backends import Backend, TranspileRequest
 from .core import GenerationParams, IsaName, ToolchainConfig
 from .dataset import TranspilePair
@@ -199,17 +192,17 @@ def score_syntactic(
     candidate: str,
     ground_truth: str,
     isa: IsaName | str,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
+    raw: bool = False,
     line_level: bool = False,
 ) -> tuple[int, bool]:
-    """Normalize both texts under the same policy, then edit distance + equality.
+    """Normalize both texts alike (see ``normalize``), then edit distance + equality.
 
     Character granularity by default; ``line_level`` computes the distance
     over normalized lines as atoms instead (reported separately, never mixed).
     """
     isa_name = IsaName(isa)
-    cand_norm = normalize(parse_assembly(candidate, isa_name), policy)
-    truth_norm = normalize(parse_assembly(ground_truth, isa_name), policy)
+    cand_norm = normalize(parse_assembly(candidate, isa_name), raw)
+    truth_norm = normalize(parse_assembly(ground_truth, isa_name), raw)
     if line_level:
         distance = levenshtein(cand_norm.splitlines(), truth_norm.splitlines())
     else:
@@ -226,19 +219,58 @@ def _signal_name(code: int) -> str:
         return f"SIG{code}"
 
 
-def _log_line(command: str, proc: subprocess.CompletedProcess, td: str) -> str:
-    # temp paths vary run to run; records must stay byte-deterministic
-    return f"$ {command}\n{proc.stdout}{proc.stderr}".rstrip().replace(td, "{tmpdir}")
-
-
 # The assemble_link steps that name neither {candidate} nor {output} (the test
 # driver, start stubs) are the pair's driver build.  It gives the same files
 # for the same inputs, so each distinct one runs once per process.
 BUILD_CACHE_ENTRIES = 256
 
 
-def _is_driver_step(step: str) -> bool:
-    return "{candidate}" not in step and "{output}" not in step
+def _step_role(step: str) -> str:
+    """An assemble_link step's role, by its placeholders (see ``IsaCommands``)."""
+    if "{candidate}" in step:
+        return "candidate"
+    return "output" if "{output}" in step else "driver"
+
+
+def _step_outcome(
+    role: str, step: str, proc: subprocess.CompletedProcess | None
+) -> TestOutcome | None:
+    """The TestOutcome of a step's exit by its role, or None to go on to the
+    next step; ``proc`` is None after a timeout.  A driver step that fails or
+    times out, and an {output} step that times out, raise ToolchainError."""
+    if role == "emulate":
+        if proc is None:
+            return TestOutcome(OutcomeStatus.TIMEOUT)
+        rc = proc.returncode
+        if rc < 0:
+            return TestOutcome.crash(_signal_name(-rc))
+        return TestOutcome.test_failed(rc) if rc else TestOutcome.passed()
+    if proc is not None and proc.returncode == 0:
+        return None
+    if role == "candidate":
+        return TestOutcome(OutcomeStatus.ASSEMBLE_ERROR)
+    if proc is None:
+        raise ToolchainError(f"build step timed out: {step}", command=step)
+    if role == "output":
+        return TestOutcome(OutcomeStatus.LINK_ERROR)
+    raise ToolchainError(
+        f"test-driver build failed ({proc.returncode}): "
+        f"{(proc.stderr + proc.stdout)[:400]}",
+        command=step,
+    )
+
+
+def _run_step(
+    role: str, step: str, mapping: dict[str, str], timeout: float, td: str
+) -> tuple[TestOutcome | None, str]:
+    """Run one build or run step: its ``_step_outcome`` and its log line, where
+    the run's directory ``td`` reads {tmpdir} so records stay deterministic."""
+    try:
+        proc = toolrun.run_command(step, mapping, timeout)
+        line = f"$ {step}\n{proc.stdout}{proc.stderr}".rstrip().replace(td, "{tmpdir}")
+    except subprocess.TimeoutExpired:
+        proc, line = None, f"$ {step}\n(timed out after {timeout}s)"
+    return _step_outcome(role, step, proc), line
 
 
 @functools.lru_cache(maxsize=BUILD_CACHE_ENTRIES)
@@ -257,17 +289,7 @@ def build_driver(
     with tempfile.TemporaryDirectory(prefix="xisa-driver-") as td:
         mapping = {"test_src": test_src, "opt": opt, "tmpdir": td}
         for step in steps:
-            try:
-                proc = toolrun.run_command(step, mapping, timeout)
-            except subprocess.TimeoutExpired:
-                raise ToolchainError(f"build step timed out: {step}", command=step) from None
-            if proc.returncode != 0:
-                raise ToolchainError(
-                    f"test-driver build failed ({proc.returncode}): "
-                    f"{(proc.stderr + proc.stdout)[:400]}",
-                    command=step,
-                )
-            lines.append(_log_line(step, proc, td))
+            lines.append(_run_step("driver", step, mapping, timeout, td)[1])
         files = tuple(
             (path.relative_to(td).as_posix(), path.stat().st_mode & 0o7777,
              None if path.is_dir() else path.read_bytes())
@@ -310,7 +332,7 @@ def run_functional(
     if not pair.test_source_path:
         raise ValueError(f"pair {pair.pair_id} has no test program")
     cmds = cfg.require(pair.target_isa, "assemble_link", "emulate")
-    driver = tuple(step for step in cmds.assemble_link if _is_driver_step(step))
+    driver = tuple(s for s in cmds.assemble_link if _step_role(s) == "driver")
     logs: list[str] = []
 
     with tempfile.TemporaryDirectory(prefix="xisa-run-") as td:
@@ -328,7 +350,8 @@ def run_functional(
 
         driver_lines = None
         for step in cmds.assemble_link:
-            if _is_driver_step(step):
+            role = _step_role(step)
+            if role == "driver":
                 if driver_lines is None:
                     lines, files = build_driver(*_driver_key(driver, pair, cfg))
                     for rel, mode, data in files:
@@ -341,34 +364,16 @@ def run_functional(
                     driver_lines = iter(lines)
                 logs.append(next(driver_lines))
                 continue
-            try:
-                proc = toolrun.run_command(step, mapping, cfg.timeout_compile)
-            except subprocess.TimeoutExpired:
-                if "{candidate}" in step:
-                    logs.append(f"$ {step}\n(timed out)")
-                    return TestOutcome(OutcomeStatus.ASSEMBLE_ERROR), "\n".join(logs)
-                raise ToolchainError(f"build step timed out: {step}", command=step) from None
-            logs.append(_log_line(step, proc, td))
-            if proc.returncode == 0:
-                continue
-            if "{candidate}" in step:
-                return TestOutcome(OutcomeStatus.ASSEMBLE_ERROR), "\n".join(logs)
-            return TestOutcome(OutcomeStatus.LINK_ERROR), "\n".join(logs)
+            outcome, line = _run_step(role, step, mapping, cfg.timeout_compile, td)
+            logs.append(line)
+            if outcome is not None:
+                return outcome, "\n".join(logs)
 
-        try:
-            proc = toolrun.run_command(
-                cmds.emulate, {"input": str(binary_path)}, cfg.timeout_run
-            )
-        except subprocess.TimeoutExpired:
-            logs.append(f"$ {cmds.emulate}\n(timed out after {cfg.timeout_run}s)")
-            return TestOutcome(OutcomeStatus.TIMEOUT), "\n".join(logs)
-        logs.append(_log_line(cmds.emulate, proc, td))
-        rc = proc.returncode
-        if rc == 0:
-            return TestOutcome.passed(), "\n".join(logs)
-        if rc < 0:
-            return TestOutcome.crash(_signal_name(-rc)), "\n".join(logs)
-        return TestOutcome.test_failed(rc), "\n".join(logs)
+        outcome, line = _run_step(
+            "emulate", cmds.emulate, {"input": str(binary_path)}, cfg.timeout_run, td
+        )
+        logs.append(line)
+        return outcome, "\n".join(logs)
 
 
 # --- error taxonomy ----------------------------------------------------------
@@ -437,7 +442,7 @@ def evaluate_pair(
     backend: Backend,
     params: GenerationParams,
     cfg: ToolchainConfig,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
+    raw: bool = False,
     line_level: bool = False,
 ) -> EvalResult:
     try:
@@ -452,7 +457,7 @@ def evaluate_pair(
         raise
     except XisaError as exc:
         distance, exact = score_syntactic(
-            "", pair.target.raw_text, pair.target_isa, policy, line_level
+            "", pair.target.raw_text, pair.target_isa, raw, line_level
         )
         return EvalResult(
             pair_id=pair.pair_id,
@@ -467,7 +472,7 @@ def evaluate_pair(
 
     candidates = [c.text for c in response.candidates]
     distance, exact = score_syntactic(
-        candidates[0], pair.target.raw_text, pair.target_isa, policy, line_level
+        candidates[0], pair.target.raw_text, pair.target_isa, raw, line_level
     )
 
     # beam 0 is reported unless a later beam passes
@@ -502,7 +507,7 @@ def evaluate_suite(
     backend: Backend,
     params: GenerationParams,
     cfg: ToolchainConfig,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
+    raw: bool = False,
     jobs: int = 1,
     line_level: bool = False,
 ) -> tuple[list[EvalResult], SuiteSummary]:
@@ -512,7 +517,7 @@ def evaluate_suite(
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         results = list(
             pool.map(
-                lambda p: evaluate_pair(p, backend, params, cfg, policy, line_level),
+                lambda p: evaluate_pair(p, backend, params, cfg, raw, line_level),
                 pairs,
             )
         )

@@ -6,7 +6,6 @@ import pytest
 
 from xisa.asmtext import (
     LineKind,
-    NormalizationPolicy,
     OperandKind,
     RegisterProfile,
     canonical_register,
@@ -134,10 +133,10 @@ def test_volatile_directives_dropped_banners_ignored():
 
 
 def test_raw_policy_preserves_comments_and_blanks():
-    text = "@ keep me\n\nmov r0, #0\n"
+    text = '\t.file "a.c"\n@ keep me\n\nmov r0, #0\n'
     unit = parse_assembly(text, IsaName.ARMV5)
-    raw = normalize(unit, NormalizationPolicy.raw())
-    assert raw == "@ keep me\n\nmov r0, #0\n"
+    assert normalize(unit, raw=True) == '.file "a.c"\n@ keep me\n\nmov r0, #0\n'
+    assert normalize(unit) == "mov r0, #0\n"
 
 
 def test_word_directive_retained():
@@ -458,17 +457,48 @@ _PURE_MOVE = {
 
 
 @pytest.mark.parametrize("isa", list(IsaName))
-def test_profile_unlisted_mnemonic_writes_and_reads_first_operand(isa):
+def test_profile_unlisted_mnemonic_reads_every_operand(isa):
     assert "movhi" not in load_role_table(isa)  # pure-looking, but unlisted
     sigil = "%" if isa is IsaName.X86_64 else ""
     first, second = list(get_isa(isa).registers)[:2]
     line = f"movhi {sigil}{first}, {sigil}{second}\n"
     profile = static_register_profile(parse_assembly(line * 2, isa))
     assert profile == {first: RegisterProfile([]), second: RegisterProfile([])}
-    # its write to the first operand is dead under a pure move; the second
-    # operand is only read
-    assert _flags(line + _PURE_MOVE[isa].format(first, second), isa) == {first: [1]}
-    assert _flags(line + _PURE_MOVE[isa].format(second, first), isa) == {}
+    # it writes neither operand, so neither pure move after it finds a dead
+    # write, and it reads both, so neither pure move before it is dead either
+    for move in (_PURE_MOVE[isa].format(first, second), _PURE_MOVE[isa].format(second, first)):
+        assert _flags(line + move, isa) == {}
+        assert _flags(move + "\n" + line, isa) == {}
+
+
+def test_profile_unlisted_mnemonic_mutant_flags_nothing():
+    # a misspelt push does not write %rbp, so the frame move after it is no
+    # overwrite of an unread %rbp
+    text = "f:\n\tbad_pushq %rbp\n\tmovq %rsp, %rbp\n\tpopq %rbp\n\tret\n"
+    assert "bad_pushq" not in load_role_table(IsaName.X86_64)
+    assert _flags(text, IsaName.X86_64) == {}
+
+
+def test_profile_arm_jump_table_switch_flags_nothing():
+    # gcc's ARMv5 switch: a bounds check, then an unlisted conditional add
+    # into pc that indexes a table of branches
+    text = (
+        "f:\n"
+        "\tcmp r0, #3\n"
+        "\taddls pc, pc, r0, lsl #2\n"
+        "\tb .L2\n"
+        "\tb .L3\n"
+        "\tb .L4\n"
+        "\tb .L5\n"
+        "\tb .L6\n"
+        ".L3:\n\tmov r0, #10\n\tbx lr\n"
+        ".L4:\n\tmov r0, #20\n\tbx lr\n"
+        ".L5:\n\tmov r0, #30\n\tbx lr\n"
+        ".L6:\n\tmov r0, #40\n\tbx lr\n"
+        ".L2:\n\tmov r0, #0\n\tbx lr\n"
+    )
+    assert "addls" not in load_role_table(IsaName.ARMV5)
+    assert _flags(text, IsaName.ARMV5) == {}
 
 
 @pytest.mark.parametrize(

@@ -102,12 +102,8 @@ def test_config_roundtrip(tmp_path):
         MINIMAL + "\n[global]\ntimeout_compile = 12.5\ntimeout_run = 3.0\n"
     )
     cfg = load_config(source)
-    again = parse_config(cfg.to_text())
-    assert again.entries == cfg.entries
-    assert again.optimization_level == cfg.optimization_level
-    assert again.timeout_compile == cfg.timeout_compile
-    assert again.timeout_run == cfg.timeout_run
-    assert again.prompt_preamble == cfg.prompt_preamble
+    assert (cfg.timeout_compile, cfg.timeout_run) == (12.5, 3.0)
+    assert cfg == parse_config(source.read_text())
 
 
 def test_assemble_link_is_multiline(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import CONFIGS, FIXTURES, X86_PROFILES, needs_gcc, needs_lite
 from xisa import evaluation, toolrun
-from xisa.asmtext import DEFAULT_POLICY, NormalizationPolicy, parse_assembly
+from xisa.asmtext import parse_assembly
 from xisa.backends import Backend, Candidate, IdentityBackend, ReplayBackend
 from xisa.core import GenerationParams, IsaName, parse_config
 from xisa.dataset import AsmSide, TranspilePair, compile_pair
@@ -210,9 +210,7 @@ def test_commutative_reorder_scores_nonzero():
 def test_raw_policy_counts_comments():
     truth = "mov r0, #0\n"
     candidate = "@ c\nmov r0, #0\n"
-    distance, exact = score_syntactic(
-        candidate, truth, IsaName.ARMV5, policy=NormalizationPolicy.raw()
-    )
+    distance, exact = score_syntactic(candidate, truth, IsaName.ARMV5, raw=True)
     assert distance > 0 and exact is False
 
 
@@ -613,8 +611,8 @@ def test_raw_policy_scores_against_raw_ground_truth_gcc_only(mini_pairs_x86, lit
     # the default policy, so --policy raw must score against raw_text
     pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
     backend = FixedBeams([pair.target.raw_text])
-    for policy in (NormalizationPolicy.raw(), DEFAULT_POLICY):
-        result = evaluate_pair(pair, backend, GenerationParams(), lite_cfg, policy)
+    for raw in (True, False):
+        result = evaluate_pair(pair, backend, GenerationParams(), lite_cfg, raw)
         assert (result.edit_distance, result.exact_match) == (0, True)
         assert result.outcome.is_pass
 
@@ -899,6 +897,71 @@ def test_build_cache_entry_bound_holds_gcc_only(
     run_functional(truth, pairs[1], lite_cfg)
     assert commands[X86_DRIVER_STEP] == 4
     assert bounded.cache_info().currsize == 2
+
+
+# --- the step outcome table, without a toolchain ---------------------------------
+
+PY_OK = "{python} -c pass"
+PY_EXIT_1 = '{python} -c "import sys; sys.exit(1)"'
+PY_EXIT_3 = '{python} -c "import sys; sys.exit(3)"'
+PY_SEGV = '{python} -c "import os, signal; os.kill(os.getpid(), signal.SIGSEGV)"'
+PY_SLEEP = '{python} -c "import time; time.sleep(30)"'  # killed at the 1 s timeout
+
+
+def _python_profile(driver=PY_OK, candidate=PY_OK, link=PY_OK, emulate=PY_OK):
+    """An x86_64 profile whose four step roles each run one Python command."""
+    return parse_config(f"""
+[global]
+timeout_compile = 1
+timeout_run = 1
+
+[x86_64]
+assemble_link =
+    {driver} {{test_src}}
+    {candidate} {{candidate}}
+    {link} {{output}}
+emulate = {emulate} {{input}}
+""")
+
+
+@pytest.fixture
+def python_pair(tmp_path) -> TranspilePair:
+    """A hand-made pair whose test driver no step compiles."""
+    test_src = tmp_path / "test.c"
+    test_src.write_text("int main(void) { return 0; }\n")
+    side = AsmSide("", "")
+    return TranspilePair("p00_python", str(tmp_path / "func.c"), IsaName.X86_64,
+                         side, side, "-O0", "byte-v1", 0, 0, str(test_src))
+
+
+@pytest.mark.parametrize("role,command,expected", [
+    pytest.param(None, None, "pass", id="pass"),
+    pytest.param("candidate", PY_EXIT_1, "assemble_error", id="candidate-exit"),
+    pytest.param("candidate", PY_SLEEP, "assemble_error", id="candidate-timeout"),
+    pytest.param("link", PY_EXIT_1, "link_error", id="link-exit"),
+    pytest.param("emulate", PY_EXIT_3, "test_failed(3)", id="emulate-exit"),
+    pytest.param("emulate", PY_SEGV, "runtime_crash(SIGSEGV)", id="emulate-signal"),
+    pytest.param("emulate", PY_SLEEP, "timeout", id="emulate-timeout"),
+])
+def test_step_outcome_table(python_pair, role, command, expected):
+    cfg = _python_profile(**({role: command} if role else {}))
+    outcome, logs = run_functional("", python_pair, cfg)
+    assert outcome.describe() == expected, logs
+    if command is PY_SLEEP:  # every timed-out step logs its timeout alike
+        assert logs.endswith("\n(timed out after 1.0s)"), logs
+
+
+@pytest.mark.parametrize("role,command,match", [
+    pytest.param("link", PY_SLEEP, "build step timed out", id="link-timeout"),
+    pytest.param("driver", PY_SLEEP, "build step timed out", id="driver-timeout"),
+    pytest.param("driver", PY_EXIT_1, r"test-driver build failed \(1\)", id="driver-exit"),
+])
+def test_step_outcome_table_infrastructure_faults(python_pair, role, command, match):
+    build_driver.cache_clear()
+    with pytest.raises(ToolchainError, match=match):
+        run_functional("", python_pair, _python_profile(**{role: command}))
+    if role == "driver":  # a failed driver build is never cached
+        assert build_driver.cache_info().currsize == 0
 
 
 @needs_lite
