@@ -11,10 +11,11 @@ because perfbench finds its root from its own resolved path.
 
 In each tree it runs ``perfbench/run.py`` on every workload, at ``--trace 0``
 (the end-to-end metrics) and ``--trace 1`` (the per-layer metrics), over
-``ROUNDS`` rounds with the round number as seed and ``SECONDS`` per run,
-alternating which tree goes first.  One warm-up run per tree and workload
-comes first and is discarded.  It stops at the first run that exits non-zero
-or reports ``correct: false``.
+``ROUNDS`` rounds with the round number as seed, alternating which tree goes
+first.  Each run lasts ``SECONDS``, the ``run_seconds`` that ``BENCHMARK.json``
+declares, so these runs are as long as the benchmark's own.  One warm-up run
+per tree and workload comes first and is discarded.  It stops at the first run
+that exits non-zero or reports ``correct: false``.
 
 For each metric the output holds each tree's median over the rounds, each
 tree's quartile distance (third quartile minus first), and the head/baseline
@@ -40,7 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("suite-native", "corpus-text", "armvm")
 ROUNDS = 10  # per tree, workload and trace level
-SECONDS = 10  # perfbench's --seconds; a run takes about this plus 5 s
+# perfbench's --seconds, as the benchmark declares it; a run takes about this plus 5 s
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 COPIED = ("perfbench", "tests/fixtures")  # from this checkout into both trees
 SKIPPED = shutil.ignore_patterns("__pycache__", "*.pyc", ".work", ".out")
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 from .errors import AllRunsFailed
 
+SUMMARY_SCHEMA = "xisa.bench_summary/v1"
+
 
 @dataclass(frozen=True)
 class BenchSample:
@@ -139,7 +141,7 @@ def compare_modes(
 
 def summary_to_record(summary: BenchSummary) -> dict:
     return {
-        "schema": "xisa.bench_summary/v1",
+        "schema": SUMMARY_SCHEMA,
         "mode": summary.mode,
         "n_valid": summary.n_valid,
         "n_failed": summary.n_failed,

@@ -26,13 +26,12 @@ from . import evaluation as eval_mod
 from . import tokenizer as tok
 from .asmtext import parse_assembly
 from .backends import TranspileRequest, make_backend
-from .core import GenerationParams, IsaName, ToolchainConfig, load_config
+from .core import RUN_SCHEMA, GenerationParams, IsaName, ToolchainConfig, load_config
+from .core import atomic_write, read_records, write_records
 from .dataset import read_store
-from .errors import ConfigError, ToolchainError, UnsupportedInstruction, XisaError
+from .errors import ConfigError, UnsupportedInstruction, XisaError
 from .segmenter import segment_unit
 from .tokenizer import load_vocab, save_vocab
-
-RUN_SCHEMA = "xisa.run/v1"
 
 
 def _now() -> str:
@@ -62,19 +61,6 @@ def make_run_record(
     }
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_ndjson(path: str | Path, records: list[dict]) -> None:
-    atomic_write_text(
-        path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    )
-
-
 def _write_run_sidecar(
     argv: list[str],
     started: str,
@@ -84,7 +70,7 @@ def _write_run_sidecar(
 ) -> None:
     """The run record of a command that writes one file, as ``<out>.run.json``."""
     record = make_run_record(argv, started, [out], cfg, tool_versions)
-    atomic_write_text(out + ".run.json", json.dumps(record, indent=2, sort_keys=True))
+    atomic_write(out + ".run.json", [json.dumps(record, indent=2, sort_keys=True)])
 
 
 def _load_cfg(args: argparse.Namespace) -> ToolchainConfig:
@@ -202,7 +188,7 @@ def _cmd_transpile(args: argparse.Namespace, argv: list[str]) -> int:
     except UnsupportedInstruction as exc:
         print(f"transpile failed: {exc}", file=sys.stderr)
         return 1
-    atomic_write_text(args.out, response.candidates[0].text)
+    atomic_write(args.out, [response.candidates[0].text])
     _write_run_sidecar(argv, started, args.out, cfg)
     print(f"{backend.backend_id}: {len(response.candidates)} candidate(s) -> {args.out}")
     return 0
@@ -232,20 +218,18 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
         jobs=args.jobs,
         line_level=args.line_level,
     )
-    records: list[dict] = [
-        make_run_record(
-            argv,
-            started,
-            [args.out],
-            cfg,
-            dataset_mod.toolchain_fingerprints(
-                cfg, [IsaName.X86_64, IsaName(args.target)]
-            ),
-        )
-    ]
-    records.extend(eval_mod.result_to_record(r) for r in results)
-    records.append(eval_mod.summary_to_record(summary))
-    _write_ndjson(args.out, records)
+    run = make_run_record(
+        argv,
+        started,
+        [args.out],
+        cfg,
+        dataset_mod.toolchain_fingerprints(cfg, [IsaName.X86_64, IsaName(args.target)]),
+    )
+    write_records(args.out, [
+        run,
+        *(eval_mod.result_to_record(r) for r in results),
+        eval_mod.summary_to_record(summary),
+    ])
     print(
         f"n={summary.n} avg_edit={summary.avg_edit_distance:.2f} "
         f"exact={summary.exact_match_rate * 100:.2f}% "
@@ -274,14 +258,9 @@ def _cmd_bench(args: argparse.Namespace, argv: list[str]) -> int:
     if args.bench_cmd == "compare":
         summaries = []
         for path in args.files:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    if record.get("schema") == "xisa.bench_summary/v1":
-                        summaries.append(bench_mod.record_to_summary(record))
+            summaries += read_records(
+                path, bench_mod.SUMMARY_SCHEMA, bench_mod.record_to_summary, frozenset({RUN_SCHEMA})
+            )
         rows = bench_mod.compare_modes(summaries, args.baseline)
         print(f"{'mode':<20} {'speedup':>10} {'memory':>10}")
         for row in rows:
@@ -298,11 +277,10 @@ def _cmd_bench(args: argparse.Namespace, argv: list[str]) -> int:
         timeout=args.timeout,
         wrapper=args.wrapper,
     )
-    records = [
+    write_records(args.out, [
         make_run_record(argv, started, [args.out]),
         bench_mod.summary_to_record(summary),
-    ]
-    _write_ndjson(args.out, records)
+    ])
     print(
         f"{summary.mode}: n={summary.n_valid} geomean_time={summary.geomean_time:.6f}s "
         f"geomean_rss={summary.geomean_rss / 1024.0:.0f}KiB -> {args.out}"
@@ -331,16 +309,12 @@ def _render_table(summary: eval_mod.SuiteSummary, label: str) -> str:
 
 
 def _cmd_report(args: argparse.Namespace, argv: list[str]) -> int:
-    results_a, summary_a = eval_mod.read_results(args.results)
-    if summary_a is None:
-        summary_a = eval_mod.summarize(results_a)
-    print(_render_table(summary_a, args.results))
+    results_a = eval_mod.read_results(args.results)
+    print(_render_table(eval_mod.summarize(results_a), args.results))
     if args.results_b:
-        results_b, summary_b = eval_mod.read_results(args.results_b)
-        if summary_b is None:
-            summary_b = eval_mod.summarize(results_b)
+        results_b = eval_mod.read_results(args.results_b)
         print()
-        print(_render_table(summary_b, args.results_b))
+        print(_render_table(eval_mod.summarize(results_b), args.results_b))
         counts = eval_mod.confusion_matrix(results_a, results_b)
         print()
         print(
@@ -377,16 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_tok = sub.add_parser("tokenizer", help="build vocabularies, token stats")
     tsub = p_tok.add_subparsers(dest="tokenizer_cmd", required=True)
     t_build = tsub.add_parser("build")
-    t_build.add_argument("--corpus-store")
-    t_build.add_argument("--asm-dir")
+    t_build_in = t_build.add_mutually_exclusive_group(required=True)
+    t_build_in.add_argument("--corpus-store")
+    t_build_in.add_argument("--asm-dir")
     t_build.add_argument("--isa", default="armv5", choices=[i.value for i in IsaName])
     t_build.add_argument("--top-k", type=int, default=512)
     t_build.add_argument("--out", required=True)
     t_stats = tsub.add_parser("stats")
     t_stats.add_argument("--base")
     t_stats.add_argument("--extended", required=True)
-    t_stats.add_argument("--corpus-store")
-    t_stats.add_argument("--asm-dir")
+    t_stats_in = t_stats.add_mutually_exclusive_group(required=True)
+    t_stats_in.add_argument("--corpus-store")
+    t_stats_in.add_argument("--asm-dir")
 
     p_trans = sub.add_parser("transpile", help="translate one assembly file")
     p_trans.add_argument("--in", dest="infile", required=True)
@@ -467,18 +443,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
 
+    # candidate-level failures never travel as exceptions: whatever reaches
+    # here is a harness, input or usage error
     try:
         return _HANDLERS[args.command](args, argv)
-    except ToolchainError as exc:
+    except (XisaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.command:
+        if getattr(exc, "command", ""):
             print(f"failing command: {exc.command}", file=sys.stderr)
-        return 2
-    except XisaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,4 +1,5 @@
-"""Shared domain types: ISA registry, toolchain configuration, generation parameters.
+"""Shared domain types: ISA registry, toolchain configuration, generation
+parameters, and the one writer and one reader of every file the harness keeps.
 
 The toolchain config is a plain INI file, one section per ISA, holding command
 templates with ``{input}``/``{output}`` style placeholders.  Nothing here runs
@@ -7,14 +8,16 @@ a tool; existence of the referenced executables is checked lazily at first use.
 from __future__ import annotations
 
 import configparser
+import json
 import os
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
+from typing import TypeVar
 
-from .errors import ConfigError
+from .errors import ConfigError, MalformedRecord
 
 
 class IsaName(str, Enum):
@@ -224,10 +227,10 @@ class ToolchainConfig:
     prompt_preamble: str = DEFAULT_PROMPT_PREAMBLE
 
     def __post_init__(self) -> None:
-        if self.timeout_compile <= 0:
-            raise ConfigError("timeout_compile must be > 0")
-        if self.timeout_run <= 0:
-            raise ConfigError("timeout_run must be > 0")
+        for name in ("timeout_compile", "timeout_run"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
 
     def commands(self, isa: IsaName | str) -> IsaCommands:
         name = IsaName(isa)
@@ -259,8 +262,7 @@ def parse_config(text: str) -> ToolchainConfig:
         raise ConfigError("config parse failure: empty config")
 
     opt_level = "-O0"
-    timeout_compile = 30.0
-    timeout_run = 10.0
+    timeouts: dict[str, float] = {}
     preamble = DEFAULT_PROMPT_PREAMBLE
     if cp.has_section(_GLOBAL_SECTION):
         for key in cp.options(_GLOBAL_SECTION):
@@ -268,22 +270,13 @@ def parse_config(text: str) -> ToolchainConfig:
                 raise ConfigError(f"unknown key {key!r} in [global]")
         opt_level = cp.get(_GLOBAL_SECTION, "opt_level", fallback=opt_level)
         preamble = cp.get(_GLOBAL_SECTION, "prompt_preamble", fallback=preamble)
-        for key, current in (
-            ("timeout_compile", timeout_compile),
-            ("timeout_run", timeout_run),
-        ):
+        for key in ("timeout_compile", "timeout_run"):
             raw = cp.get(_GLOBAL_SECTION, key, fallback=None)
             if raw is not None:
                 try:
-                    value = float(raw)
+                    timeouts[key] = float(raw)
                 except ValueError:
                     raise ConfigError(f"{key} is not a number: {raw!r}") from None
-                if value <= 0:
-                    raise ConfigError(f"{key} must be > 0, got {raw}")
-                if key == "timeout_compile":
-                    timeout_compile = value
-                else:
-                    timeout_run = value
 
     entries: dict[IsaName, IsaCommands] = {}
     for section in cp.sections():
@@ -316,9 +309,8 @@ def parse_config(text: str) -> ToolchainConfig:
     return ToolchainConfig(
         entries=entries,
         optimization_level=opt_level,
-        timeout_compile=timeout_compile,
-        timeout_run=timeout_run,
         prompt_preamble=preamble,
+        **timeouts,
     )
 
 
@@ -332,3 +324,55 @@ def load_config(path: str | Path) -> ToolchainConfig:
     if not text.strip():
         raise ConfigError(f"config parse failure: {p} is empty")
     return parse_config(text)
+
+
+# --- files ------------------------------------------------------------------
+
+RUN_SCHEMA = "xisa.run/v1"
+
+T = TypeVar("T")
+
+
+def atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``<path>.tmp`` and rename it into place, so a file
+    that exists is complete."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+    os.replace(tmp, path)
+
+
+def write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Newline-delimited JSON with sorted keys, one record a line, streamed
+    from ``records`` through ``atomic_write``."""
+    atomic_write(path, (json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+
+def read_records(
+    path: str | Path,
+    schema: str,
+    decode: Callable[[dict], T],
+    skip: frozenset[str] = frozenset(),
+) -> Iterator[T]:
+    """``decode(record)`` for every ``schema`` record of an ndjson file, in
+    file order.  Blank lines and records whose schema is in ``skip`` are
+    passed over; any other line raises MalformedRecord naming ``path:line``."""
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise MalformedRecord(f"{path}:{number}: not JSON ({exc})") from None
+            kind = record.get("schema") if isinstance(record, dict) else None
+            if isinstance(kind, str) and kind in skip:
+                continue
+            if kind != schema:
+                raise MalformedRecord(f"{path}:{number}: schema {kind!r}, expected {schema!r}")
+            try:
+                value = decode(record)
+            except (KeyError, ValueError, TypeError) as exc:
+                raise MalformedRecord(f"{path}:{number}: bad {schema} record: {exc!r}") from None
+            yield value

@@ -8,9 +8,7 @@ to a temporary file and renamed into place, so a store that exists is complete.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import os
 import random
 import subprocess
 import tempfile
@@ -21,8 +19,8 @@ from pathlib import Path
 
 from . import tokenizer as tok
 from .asmtext import normalize, parse_assembly
-from .core import IsaName, ToolchainConfig
-from .errors import CompileFailed, LayoutError, NoSources, StoreWriteFailed, ToolTimeout
+from .core import IsaName, ToolchainConfig, read_records, write_records
+from .errors import CompileFailed, LayoutError, NoSources, ToolTimeout
 from .toolrun import run_command, tool_version_line
 
 log = logging.getLogger(__name__)
@@ -136,8 +134,6 @@ def pair_to_record(pair: TranspilePair) -> dict:
 
 
 def record_to_pair(record: dict) -> TranspilePair:
-    if record.get("schema") != PAIR_SCHEMA:
-        raise StoreWriteFailed(f"unexpected record schema {record.get('schema')!r}")
     return TranspilePair(
         pair_id=record["pair_id"],
         c_source_path=record["c_source_path"],
@@ -154,11 +150,7 @@ def record_to_pair(record: dict) -> TranspilePair:
 
 
 def read_store(path: str | Path) -> Iterator[TranspilePair]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield record_to_pair(json.loads(line))
+    return read_records(path, PAIR_SCHEMA, record_to_pair)
 
 
 def toolchain_fingerprints(
@@ -201,29 +193,27 @@ def build_corpus(
                 "sample %d exceeds available %d files; compiling all", sample, len(files)
             )
 
-    store_path = Path(store_path)
-    tmp_path = store_path.with_suffix(store_path.suffix + ".tmp")
     written = 0
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-                # written in submission order (sorted paths), not completion
-                # order, so the store is the same bytes for every jobs value
-                futures = [
-                    (path, pool.submit(compile_pair, path, target, cfg, tokenizer_spec))
-                    for path in files
-                ]
-                for path, future in futures:
-                    try:
-                        pair = future.result()
-                    except (CompileFailed, ToolTimeout) as exc:
-                        log.warning("skipping %s: %s", path, exc)
-                        continue
-                    fh.write(json.dumps(pair_to_record(pair), sort_keys=True) + "\n")
-                    written += 1
-    except OSError as exc:
-        raise StoreWriteFailed(f"cannot write store {store_path}: {exc}") from exc
-    os.replace(tmp_path, store_path)
+
+    def records() -> Iterator[dict]:
+        nonlocal written
+        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+            # written in submission order (sorted paths), not completion
+            # order, so the store is the same bytes for every jobs value
+            futures = [
+                (path, pool.submit(compile_pair, path, target, cfg, tokenizer_spec))
+                for path in files
+            ]
+            for path, future in futures:
+                try:
+                    pair = future.result()
+                except (CompileFailed, ToolTimeout) as exc:
+                    log.warning("skipping %s: %s", path, exc)
+                    continue
+                written += 1
+                yield pair_to_record(pair)
+
+    write_records(store_path, records())
     return written
 
 

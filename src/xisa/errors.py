@@ -2,7 +2,7 @@
 
 Candidate-level failures (a translation that does not assemble or run) are
 *not* exceptions: they become TestOutcome values.  Exceptions here mean the
-harness itself cannot proceed (bad config, missing tool, malformed store).
+harness itself cannot proceed (bad config, missing tool, malformed input file).
 """
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ class NoSources(XisaError):
     """Corpus build asked for a directory with no .c files."""
 
 
-class StoreWriteFailed(XisaError):
-    """Record store could not be written."""
+class MalformedRecord(XisaError):
+    """A line of an ndjson file is not one of the records its reader reads."""
 
 
 class LayoutError(XisaError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import functools
 import hashlib
-import json
 import os
 import signal as signal_module
 import subprocess
@@ -27,7 +26,7 @@ from pathlib import Path
 from . import toolrun
 from .asmtext import AssemblyUnit, normalize, parse_assembly, static_register_profile
 from .backends import Backend, TranspileRequest
-from .core import GenerationParams, IsaName, ToolchainConfig
+from .core import RUN_SCHEMA, GenerationParams, IsaName, ToolchainConfig, read_records
 from .dataset import TranspilePair
 from .errors import MismatchedSuites, ToolchainError, XisaError
 
@@ -620,23 +619,9 @@ def summary_to_record(summary: SuiteSummary) -> dict:
     }
 
 
-def read_results(path: str | Path) -> tuple[list[EvalResult], SuiteSummary | None]:
-    results: list[EvalResult] = []
-    summary: SuiteSummary | None = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("schema") == RESULT_SCHEMA:
-                results.append(record_to_result(record))
-            elif record.get("schema") == SUMMARY_SCHEMA:
-                summary = SuiteSummary(
-                    n=record["n"],
-                    avg_edit_distance=record["avg_edit_distance"],
-                    exact_match_rate=record["exact_match_rate"],
-                    test_accuracy=record["test_accuracy"],
-                    error_class_histogram=record["error_class_histogram"],
-                )
-    return results, summary
+def read_results(path: str | Path) -> list[EvalResult]:
+    """The result records of a results file, passing over its run and summary
+    records: a summary is computed from the results, never read back."""
+    return list(read_records(
+        path, RESULT_SCHEMA, record_to_result, skip=frozenset({RUN_SCHEMA, SUMMARY_SCHEMA})
+    ))

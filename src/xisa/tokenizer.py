@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .asmtext import AssemblyUnit, OperandKind
+from .core import atomic_write
 
 _IDENT_CLASS = "[A-Za-z0-9_.]"
 
@@ -150,7 +151,7 @@ _HEADER_PREFIX = "# xisa vocab"
 
 
 def save_vocab(spec: TokenizerSpec, path: str | Path) -> None:
-    """Write the newline-delimited vocabulary file."""
+    """Write the newline-delimited vocabulary file, renamed into place."""
     lines = [
         f"{_HEADER_PREFIX} v1",
         f"version = {spec.version}",
@@ -159,7 +160,7 @@ def save_vocab(spec: TokenizerSpec, path: str | Path) -> None:
         "---",
     ]
     lines.extend(spec.extended_entries)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def load_vocab(path: str | Path) -> TokenizerSpec:

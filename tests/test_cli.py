@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
+
+import pytest
 
 from conftest import CONFIGS, FIXTURES, needs_gcc, needs_lite
 from xisa.cli import main, make_run_record
 from xisa.core import load_config
-from xisa.evaluation import read_results
+from xisa.evaluation import read_results, summarize, summary_to_record
 
 LITE = str(CONFIGS / "clang-lite.cfg")
 
@@ -24,6 +27,11 @@ def make_tiny_suite(tmp_path: Path) -> Path:
             f"int f(int x);\nint main(void) {{ return {expect} ? 0 : 1; }}\n"
         )
     return suite
+
+
+def written_summary(path: Path) -> dict:
+    """The summary record ``eval run`` wrote last into a results file."""
+    return json.loads(path.read_text().splitlines()[-1])
 
 
 def test_help_lists_subcommands(capsys):
@@ -130,8 +138,9 @@ def test_eval_run_replay_and_report(tmp_path, capsys):
          "--target", "armv5", "--config", LITE, "--out", str(out)]
     )
     assert rc == 0
-    results, summary = read_results(out)
-    assert summary is not None and summary.test_accuracy == 1.0
+    results = read_results(out)
+    assert written_summary(out) == summary_to_record(summarize(results))
+    assert summarize(results).test_accuracy == 1.0
     assert len(results) == 2
     capsys.readouterr()
 
@@ -151,8 +160,9 @@ def test_eval_run_replay_x86_64_gcc_only(tmp_path):
          "--target", "x86_64", "--config", LITE, "--out", str(out)]
     )
     assert rc == 0
-    results, summary = read_results(out)
-    assert summary is not None and summary.test_accuracy == 1.0
+    results = read_results(out)
+    assert written_summary(out) == summary_to_record(summarize(results))
+    assert summarize(results).test_accuracy == 1.0
     assert len(results) == 12
 
 
@@ -302,3 +312,68 @@ def test_bench_shorthand_without_run(tmp_path, capsys):
     )
     assert rc == 0
     assert out.exists()
+
+
+# --- exit code 2: malformed input, usage errors, unwritable output -------------
+
+ARM_CORPUS = str(FIXTURES / "arm_corpus")
+BENCH_NATIVE = json.dumps({
+    "schema": "xisa.bench_summary/v1", "mode": "native", "n_valid": 1, "n_failed": 0,
+    "geomean_time": 1.0, "geomean_rss": 1.0, "samples": [],
+})
+# each case: argv, with {d} standing for a directory that holds these files
+FILES = {
+    "not_json": "{not json\n",
+    "no_pair_id": json.dumps({"schema": "xisa.eval_result/v1", "backend_id": "b"}) + "\n",
+    "pairs.ndjson": json.dumps({"schema": "xisa.pair/v1", "pair_id": "p"}) + "\n",
+    "bench.ndjson": BENCH_NATIVE + "\n",
+    "vocab.txt": "# xisa vocab v1\n---\n",
+    "f.s": "\t.globl f\nf:\n\tret\n",
+    "plain": "a regular file, so nothing can be written under it\n",
+}
+EXIT_2_CASES = {
+    "report_not_json": ["report", "{d}/not_json"],
+    "report_result_without_pair_id": ["report", "{d}/no_pair_id"],
+    "report_on_a_pair_store": ["report", "{d}/pairs.ndjson"],
+    "report_on_a_directory": ["report", "{d}"],
+    "inspect_not_json": ["dataset", "inspect", "{d}/not_json"],
+    "bench_compare_not_json": ["bench", "compare", "--baseline", "native", "{d}/not_json"],
+    "stats_extended_not_a_vocabulary": [
+        "tokenizer", "stats", "--extended", "{d}/not_json", "--asm-dir", ARM_CORPUS],
+    "bench_compare_absent_baseline": [
+        "bench", "compare", "--baseline", "jit", "{d}/bench.ndjson"],
+    "segment_budget_0": [
+        "segment", "--in", "{d}/f.s", "--isa", "x86_64", "--budget", "0"],
+    "transpile_beams_0": [
+        "transpile", "--in", "{d}/f.s", "--backend", "identity", "--target", "x86_64",
+        "--beams", "0", "--out", "{d}/out.s"],
+    "transpile_remote_without_endpoint": [
+        "transpile", "--in", "{d}/f.s", "--backend", "remote", "--target", "armv5",
+        "--out", "{d}/out.s"],
+    "tokenizer_build_top_k_0": [
+        "tokenizer", "build", "--asm-dir", ARM_CORPUS, "--top-k", "0", "--out", "{d}/v.txt"],
+    "tokenizer_build_without_input": ["tokenizer", "build", "--out", "{d}/v.txt"],
+    "tokenizer_build_with_both_inputs": [
+        "tokenizer", "build", "--corpus-store", "{d}/pairs.ndjson", "--asm-dir", ARM_CORPUS,
+        "--out", "{d}/v.txt"],
+    "tokenizer_stats_without_input": ["tokenizer", "stats", "--extended", "{d}/vocab.txt"],
+    "bench_run_runs_0": [
+        "bench", "run", "--bin", "{true}", "--runs", "0", "--out", "{d}/b.ndjson"],
+    "bench_run_out_under_a_file": [
+        "bench", "run", "--bin", "{true}", "--runs", "1", "--warmup", "0",
+        "--out", "{d}/plain/b.ndjson"],
+    "transpile_out_under_a_file": [
+        "transpile", "--in", "{d}/f.s", "--backend", "identity", "--target", "x86_64",
+        "--out", "{d}/plain/out.s"],
+}
+
+
+@pytest.mark.parametrize("argv", EXIT_2_CASES.values(), ids=EXIT_2_CASES.keys())
+def test_harness_and_usage_errors_exit_2(tmp_path, capsys, argv):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    true = shutil.which("true") or "/bin/true"
+    assert main([a.format(d=tmp_path, true=true) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err

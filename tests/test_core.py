@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from conftest import CONFIGS
 from xisa.core import (
     GenerationParams,
     IsaName,
+    atomic_write,
     get_isa,
     load_config,
     parse_config,
+    read_records,
+    write_records,
 )
-from xisa.errors import ConfigError
+from xisa.dataset import read_store
+from xisa.errors import ConfigError, MalformedRecord
+from xisa.evaluation import read_results
 
 
 def test_registry_has_four_isas():
@@ -171,3 +178,65 @@ def test_environment_variable_expansion(monkeypatch):
         "[x86_64]\ncompile = $XISA_TEST_ROOT/gcc -S {input} -o {output}\n"
     )
     assert cfg.entries[IsaName.X86_64].compile.startswith("/opt/cross/bin/gcc")
+
+
+# --- the one writer and the one reader ----------------------------------------
+
+def test_records_round_trip_sorted_keys_without_a_tmp_file(tmp_path):
+    path = tmp_path / "r.ndjson"
+    write_records(path, iter([{"schema": "s", "b": 1, "a": 2}, {"schema": "s", "a": 3}]))
+    assert path.read_text() == (
+        '{"a": 2, "b": 1, "schema": "s"}\n{"a": 3, "schema": "s"}\n'
+    )
+    assert list(read_records(path, "s", lambda r: r["a"])) == [2, 3]
+    assert [p.name for p in tmp_path.iterdir()] == ["r.ndjson"]
+
+
+def test_interrupted_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("complete\n")
+
+    def chunks():
+        yield "half of a new file"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        atomic_write(path, chunks())
+    assert path.read_text() == "complete\n"
+
+
+def test_malformed_line_is_named_by_file_and_line(tmp_path):
+    path = tmp_path / "r.ndjson"
+    path.write_text('{"schema": "s", "a": 1}\n\n{not json\n')
+    with pytest.raises(MalformedRecord, match=f"{path}:3: not JSON"):
+        list(read_records(path, "s", dict))
+    path.write_text('{"schema": "s", "a": 1}\n{"schema": "s"}\n')
+    with pytest.raises(MalformedRecord, match=f"{path}:2: bad s record: KeyError"):
+        list(read_records(path, "s", lambda r: r["a"]))
+    path.write_text("[1, 2]\n")
+    with pytest.raises(MalformedRecord, match=f"{path}:1: schema None"):
+        list(read_records(path, "s", dict))
+
+
+def test_store_holding_a_run_record_is_rejected(tmp_path):
+    store = tmp_path / "pairs.ndjson"
+    store.write_text(json.dumps({"schema": "xisa.run/v1", "outputs": []}) + "\n")
+    with pytest.raises(MalformedRecord, match=f"{store}:1: schema 'xisa.run/v1'"):
+        list(read_store(store))
+
+
+def test_results_file_run_summary_and_blank_lines_passed_over(tmp_path):
+    result = {
+        "schema": "xisa.eval_result/v1", "pair_id": "p01", "backend_id": "replay",
+        "edit_distance": 0, "exact_match": True, "outcome": "pass", "failed_count": 0,
+        "signal_name": "", "error_class": None, "candidate_index_used": 0, "logs": "",
+    }
+    path = tmp_path / "results.ndjson"
+    path.write_text("\n".join([
+        json.dumps({"schema": "xisa.run/v1", "outputs": [str(path)]}),
+        "",
+        json.dumps(result),
+        "   ",
+        json.dumps({"schema": "xisa.summary/v1", "n": 1}),
+    ]) + "\n")
+    assert [r.pair_id for r in read_results(path)] == ["p01"]
