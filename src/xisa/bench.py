@@ -7,7 +7,6 @@ aggregation and counted separately.
 """
 from __future__ import annotations
 
-import math
 import os
 import shlex
 import subprocess
@@ -15,6 +14,7 @@ import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from statistics import geometric_mean as geomean
 
 from .errors import AllRunsFailed
 
@@ -36,18 +36,6 @@ class BenchSummary:
     geomean_time: float
     geomean_rss: float
     samples: tuple[BenchSample, ...] = ()
-
-
-def geomean(xs: Sequence[float]) -> float:
-    """exp(mean(log xs)), computed in log space for stability."""
-    if not xs:
-        raise ValueError("geomean of an empty sequence")
-    total = 0.0
-    for x in xs:
-        if x <= 0:
-            raise ValueError(f"geomean requires positive values, got {x}")
-        total += math.log(x)
-    return math.exp(total / len(xs))
 
 
 def _measure_once(argv: list[str], timeout: float) -> BenchSample:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
-import json
 import os
 import shlex
 import sys
@@ -26,12 +25,14 @@ from . import evaluation as eval_mod
 from . import tokenizer as tok
 from .asmtext import parse_assembly
 from .backends import TranspileRequest, make_backend
-from .core import RUN_SCHEMA, GenerationParams, IsaName, ToolchainConfig, load_config
+from .core import GenerationParams, IsaName, ToolchainConfig, load_config
 from .core import atomic_write, read_records, write_records
 from .dataset import read_store
 from .errors import ConfigError, UnsupportedInstruction, XisaError
 from .segmenter import segment_unit
 from .tokenizer import load_vocab, save_vocab
+
+RUN_SCHEMA = "xisa.run/v1"
 
 
 def _now() -> str:
@@ -43,34 +44,24 @@ def _config_fingerprint(cfg: ToolchainConfig) -> str:
     return hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
 
 
-def make_run_record(
-    argv: list[str],
-    started: str,
-    outputs: list[str],
-    cfg: ToolchainConfig | None = None,
-    tool_versions: dict[str, str] | None = None,
-) -> dict:
-    return {
-        "schema": RUN_SCHEMA,
-        "command": shlex.join(["xisa", *argv]),
-        "config_fingerprint": _config_fingerprint(cfg) if cfg else "none",
-        "tool_versions": tool_versions or {},
-        "started": started,
-        "finished": _now(),
-        "outputs": outputs,
-    }
-
-
-def _write_run_sidecar(
+def _write_run_record(
     argv: list[str],
     started: str,
     out: str,
     cfg: ToolchainConfig | None = None,
     tool_versions: dict[str, str] | None = None,
 ) -> None:
-    """The run record of a command that writes one file, as ``<out>.run.json``."""
-    record = make_run_record(argv, started, [out], cfg, tool_versions)
-    atomic_write(out + ".run.json", [json.dumps(record, indent=2, sort_keys=True)])
+    """The run record of a command that writes ``out``, as ``<out>.run.json``:
+    what is not deterministic stays out of ``out`` itself."""
+    write_records(out + ".run.json", [{
+        "schema": RUN_SCHEMA,
+        "command": shlex.join(["xisa", *argv]),
+        "config_fingerprint": _config_fingerprint(cfg) if cfg else "none",
+        "tool_versions": tool_versions or {},
+        "started": started,
+        "finished": _now(),
+        "outputs": [out],
+    }])
 
 
 def _load_cfg(args: argparse.Namespace) -> ToolchainConfig:
@@ -102,11 +93,11 @@ def _cmd_dataset(args: argparse.Namespace, argv: list[str]) -> int:
             print(f"mean tokens target: {token_tgt / count:.1f}")
             # one build: every record has the same target and opt level
             print(f"target ISA: {pair.target_isa.value}  opt: {pair.opt_level}")
-        sidecar = Path(args.store + ".run.json")
-        if sidecar.exists():
-            run = json.loads(sidecar.read_text(encoding="utf-8"))
-            for isa, fp in run["tool_versions"].items():
-                print(f"  {isa}: {fp}")
+        sidecar = args.store + ".run.json"
+        if Path(sidecar).exists():
+            for versions in read_records(sidecar, RUN_SCHEMA, lambda r: dict(r["tool_versions"])):
+                for isa, fp in versions.items():
+                    print(f"  {isa}: {fp}")
         return 0
 
     started = _now()
@@ -125,7 +116,7 @@ def _cmd_dataset(args: argparse.Namespace, argv: list[str]) -> int:
     versions = dataset_mod.toolchain_fingerprints(
         cfg, [IsaName.X86_64, IsaName(args.target)]
     )
-    _write_run_sidecar(argv, started, args.out, cfg, versions)
+    _write_run_record(argv, started, args.out, cfg, versions)
     print(f"built {written} pairs -> {args.out}")
     return 0 if written > 0 else 1
 
@@ -146,7 +137,7 @@ def _cmd_tokenizer(args: argparse.Namespace, argv: list[str]) -> int:
                 )
         spec = tok.build_vocab(units, top_k=args.top_k)
         save_vocab(spec, args.out)
-        _write_run_sidecar(argv, started, args.out)
+        _write_run_record(argv, started, args.out)
         print(f"vocabulary {spec.version}: {len(spec.extended_entries)} entries -> {args.out}")
         return 0
 
@@ -189,7 +180,7 @@ def _cmd_transpile(args: argparse.Namespace, argv: list[str]) -> int:
         print(f"transpile failed: {exc}", file=sys.stderr)
         return 1
     atomic_write(args.out, [response.candidates[0].text])
-    _write_run_sidecar(argv, started, args.out, cfg)
+    _write_run_record(argv, started, args.out, cfg)
     print(f"{backend.backend_id}: {len(response.candidates)} candidate(s) -> {args.out}")
     return 0
 
@@ -218,18 +209,11 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
         jobs=args.jobs,
         line_level=args.line_level,
     )
-    run = make_run_record(
-        argv,
-        started,
-        [args.out],
-        cfg,
-        dataset_mod.toolchain_fingerprints(cfg, [IsaName.X86_64, IsaName(args.target)]),
+    write_records(args.out, (eval_mod.result_to_record(r) for r in results))
+    versions = dataset_mod.toolchain_fingerprints(
+        cfg, [IsaName.X86_64, IsaName(args.target)]
     )
-    write_records(args.out, [
-        run,
-        *(eval_mod.result_to_record(r) for r in results),
-        eval_mod.summary_to_record(summary),
-    ])
+    _write_run_record(argv, started, args.out, cfg, versions)
     print(
         f"n={summary.n} avg_edit={summary.avg_edit_distance:.2f} "
         f"exact={summary.exact_match_rate * 100:.2f}% "
@@ -258,9 +242,7 @@ def _cmd_bench(args: argparse.Namespace, argv: list[str]) -> int:
     if args.bench_cmd == "compare":
         summaries = []
         for path in args.files:
-            summaries += read_records(
-                path, bench_mod.SUMMARY_SCHEMA, bench_mod.record_to_summary, frozenset({RUN_SCHEMA})
-            )
+            summaries += read_records(path, bench_mod.SUMMARY_SCHEMA, bench_mod.record_to_summary)
         rows = bench_mod.compare_modes(summaries, args.baseline)
         print(f"{'mode':<20} {'speedup':>10} {'memory':>10}")
         for row in rows:
@@ -277,10 +259,8 @@ def _cmd_bench(args: argparse.Namespace, argv: list[str]) -> int:
         timeout=args.timeout,
         wrapper=args.wrapper,
     )
-    write_records(args.out, [
-        make_run_record(argv, started, [args.out]),
-        bench_mod.summary_to_record(summary),
-    ])
+    write_records(args.out, [bench_mod.summary_to_record(summary)])
+    _write_run_record(argv, started, args.out)
     print(
         f"{summary.mode}: n={summary.n_valid} geomean_time={summary.geomean_time:.6f}s "
         f"geomean_rss={summary.geomean_rss / 1024.0:.0f}KiB -> {args.out}"
@@ -446,6 +426,10 @@ def main(argv: list[str] | None = None) -> int:
     # candidate-level failures never travel as exceptions: whatever reaches
     # here is a harness, input or usage error
     try:
+        # an output that cannot be written fails before any work is done
+        out = getattr(args, "out", None)
+        if out and not Path(out).parent.is_dir():
+            raise NotADirectoryError(f"cannot write {out}: {Path(out).parent} is not a directory")
         return _HANDLERS[args.command](args, argv)
     except (XisaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

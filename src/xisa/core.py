@@ -8,6 +8,7 @@ a tool; existence of the referenced executables is checked lazily at first use.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import os
 from collections.abc import Callable, Iterable, Iterator, Mapping
@@ -328,19 +329,22 @@ def load_config(path: str | Path) -> ToolchainConfig:
 
 # --- files ------------------------------------------------------------------
 
-RUN_SCHEMA = "xisa.run/v1"
-
 T = TypeVar("T")
 
 
 def atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to ``<path>.tmp`` and rename it into place, so a file
-    that exists is complete."""
+    that exists is complete.  A write that fails part way removes the tmp."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def write_records(path: str | Path, records: Iterable[dict]) -> None:
@@ -353,11 +357,10 @@ def read_records(
     path: str | Path,
     schema: str,
     decode: Callable[[dict], T],
-    skip: frozenset[str] = frozenset(),
 ) -> Iterator[T]:
-    """``decode(record)`` for every ``schema`` record of an ndjson file, in
-    file order.  Blank lines and records whose schema is in ``skip`` are
-    passed over; any other line raises MalformedRecord naming ``path:line``."""
+    """``decode(record)`` for every record of an ndjson file, in file order.
+    Every line but a blank one must be a ``schema`` record: any other line
+    raises MalformedRecord naming ``path:line``."""
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -367,8 +370,6 @@ def read_records(
             except ValueError as exc:
                 raise MalformedRecord(f"{path}:{number}: not JSON ({exc})") from None
             kind = record.get("schema") if isinstance(record, dict) else None
-            if isinstance(kind, str) and kind in skip:
-                continue
             if kind != schema:
                 raise MalformedRecord(f"{path}:{number}: schema {kind!r}, expected {schema!r}")
             try:

@@ -26,12 +26,11 @@ from pathlib import Path
 from . import toolrun
 from .asmtext import AssemblyUnit, normalize, parse_assembly, static_register_profile
 from .backends import Backend, TranspileRequest
-from .core import RUN_SCHEMA, GenerationParams, IsaName, ToolchainConfig, read_records
+from .core import GenerationParams, IsaName, ToolchainConfig, read_records
 from .dataset import TranspilePair
 from .errors import MismatchedSuites, ToolchainError, XisaError
 
 RESULT_SCHEMA = "xisa.eval_result/v1"
-SUMMARY_SCHEMA = "xisa.summary/v1"
 
 
 # --- Levenshtein -------------------------------------------------------------
@@ -608,20 +607,6 @@ def record_to_result(record: dict) -> EvalResult:
     )
 
 
-def summary_to_record(summary: SuiteSummary) -> dict:
-    return {
-        "schema": SUMMARY_SCHEMA,
-        "n": summary.n,
-        "avg_edit_distance": summary.avg_edit_distance,
-        "exact_match_rate": summary.exact_match_rate,
-        "test_accuracy": summary.test_accuracy,
-        "error_class_histogram": summary.error_class_histogram,
-    }
-
-
 def read_results(path: str | Path) -> list[EvalResult]:
-    """The result records of a results file, passing over its run and summary
-    records: a summary is computed from the results, never read back."""
-    return list(read_records(
-        path, RESULT_SCHEMA, record_to_result, skip=frozenset({RUN_SCHEMA, SUMMARY_SCHEMA})
-    ))
+    """The records of a results file; its summary is ``summarize`` of them."""
+    return list(read_records(path, RESULT_SCHEMA, record_to_result))

@@ -14,7 +14,6 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
@@ -347,18 +346,8 @@ def test_criterion_10_eval_runs_byte_identical(tmp_path):
         assert rc == 0
         outputs.append(out)
 
-    assert comparable_bytes(outputs[0]) == comparable_bytes(outputs[1])
-    print(PASS.format(10, "two eval runs produce byte-identical result records (run timestamps excluded)"))
-
-
-def comparable_bytes(path: Path) -> bytes:
-    kept = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        if record.get("schema") == "xisa.run/v1":
-            continue  # run records carry timestamps by design
-        kept.append(json.dumps(record, sort_keys=True))
-    return "\n".join(kept).encode()
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    print(PASS.format(10, "two eval runs produce byte-identical results files"))
 
 
 @needs_gcc
@@ -375,5 +364,5 @@ def test_criterion_10_gcc_only_jobs_invariant(tmp_path):
         assert rc == 0
         outputs.append(out)
 
-    assert comparable_bytes(outputs[0]) == comparable_bytes(outputs[1])
-    print(PASS.format(10, "gcc-only eval records identical over --jobs 1 and 2 (run timestamps excluded)"))
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    print(PASS.format(10, "gcc-only results files byte-identical over --jobs 1 and 2"))

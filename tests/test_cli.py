@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from conftest import CONFIGS, FIXTURES, needs_gcc, needs_lite
-from xisa.cli import main, make_run_record
-from xisa.core import load_config
-from xisa.evaluation import read_results, summarize, summary_to_record
+from xisa.cli import RUN_SCHEMA, _config_fingerprint, main
+from xisa.core import load_config, read_records
+from xisa.evaluation import read_results, summarize
 
 LITE = str(CONFIGS / "clang-lite.cfg")
 
@@ -29,9 +29,9 @@ def make_tiny_suite(tmp_path: Path) -> Path:
     return suite
 
 
-def written_summary(path: Path) -> dict:
-    """The summary record ``eval run`` wrote last into a results file."""
-    return json.loads(path.read_text().splitlines()[-1])
+def run_records(out: Path) -> list[dict]:
+    """The run records of the command that wrote ``out``."""
+    return list(read_records(f"{out}.run.json", RUN_SCHEMA, dict))
 
 
 def test_help_lists_subcommands(capsys):
@@ -69,8 +69,7 @@ def test_dataset_build_and_inspect(tmp_path, capsys):
     )
     assert rc == 0
     assert out.exists()
-    run_record = json.loads((tmp_path / "pairs.ndjson.run.json").read_text())
-    assert run_record["schema"] == "xisa.run/v1"
+    [run_record] = run_records(out)
     assert run_record["config_fingerprint"] != "none"
     assert main(["dataset", "inspect", str(out)]) == 0
     assert "records: 3" in capsys.readouterr().out
@@ -87,9 +86,7 @@ def test_dataset_build_and_inspect_x86_64_gcc_only(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "pairs.ndjson", "pairs.ndjson.run.json"
     ]
-    versions = json.loads((tmp_path / "pairs.ndjson.run.json").read_text())[
-        "tool_versions"
-    ]
+    versions = run_records(out)[0]["tool_versions"]
     assert list(versions) == ["x86_64"]
     capsys.readouterr()
     assert main(["dataset", "inspect", str(out)]) == 0
@@ -106,8 +103,7 @@ def test_config_fingerprint_covers_expanded_commands(tmp_path, monkeypatch):
     fingerprints = set()
     for compiler in ("gcc", "clang"):
         monkeypatch.setenv("XCC", compiler)
-        record = make_run_record([], "", [], load_config(cfg_path))
-        fingerprints.add(record["config_fingerprint"])
+        fingerprints.add(_config_fingerprint(load_config(cfg_path)))
     assert len(fingerprints) == 2
 
 
@@ -127,6 +123,7 @@ def test_dataset_build_missing_toolchain_echoes_command(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "xisa-no-such-cc" in err
+    assert not (tmp_path / "s.ndjson.tmp").exists()
 
 
 @needs_lite
@@ -139,7 +136,6 @@ def test_eval_run_replay_and_report(tmp_path, capsys):
     )
     assert rc == 0
     results = read_results(out)
-    assert written_summary(out) == summary_to_record(summarize(results))
     assert summarize(results).test_accuracy == 1.0
     assert len(results) == 2
     capsys.readouterr()
@@ -161,7 +157,6 @@ def test_eval_run_replay_x86_64_gcc_only(tmp_path):
     )
     assert rc == 0
     results = read_results(out)
-    assert written_summary(out) == summary_to_record(summarize(results))
     assert summarize(results).test_accuracy == 1.0
     assert len(results) == 12
 
@@ -286,16 +281,7 @@ def test_eval_outputs_are_atomic_and_deterministic(tmp_path):
         assert rc == 0
         assert not Path(str(out) + ".tmp").exists()
 
-    def stable_records(path: Path) -> list[dict]:
-        records = []
-        for line in path.read_text().splitlines():
-            record = json.loads(line)
-            if record.get("schema") == "xisa.run/v1":
-                continue
-            records.append(record)
-        return records
-
-    assert stable_records(out_a) == stable_records(out_b)
+    assert out_a.read_bytes() == out_b.read_bytes()
 
 
 def test_bench_shorthand_without_run(tmp_path, capsys):
@@ -314,6 +300,40 @@ def test_bench_shorthand_without_run(tmp_path, capsys):
     assert out.exists()
 
 
+# --- every --out command writes <out> and its run record <out>.run.json -------
+
+X86_ASM = "\t.globl f\nf:\n\tret\n"
+OUT_CASES = {
+    "dataset_build": pytest.param(
+        ["dataset", "build", "--src", str(FIXTURES / "c_corpus"), "--target", "x86_64",
+         "--sample", "2", "--config", LITE],
+        marks=needs_gcc),
+    "tokenizer_build": ["tokenizer", "build", "--asm-dir", str(FIXTURES / "arm_corpus")],
+    "transpile": [
+        "transpile", "--in", "{d}/f.s", "--backend", "identity", "--target", "x86_64"],
+    "eval_run": pytest.param(
+        ["eval", "run", "--suite", str(FIXTURES / "mini_suite"), "--backend", "replay",
+         "--target", "x86_64", "--config", LITE],
+        marks=needs_gcc),
+    "bench_run": ["bench", "run", "--bin", "{true}", "--runs", "1", "--warmup", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_CASES.values(), ids=OUT_CASES.keys())
+def test_out_and_its_run_record_are_all_a_command_leaves(tmp_path, capsys, argv):
+    (tmp_path / "f.s").write_text(X86_ASM)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "o"
+    true = shutil.which("true") or "/bin/true"
+    argv = [a.format(d=tmp_path, true=true) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["o", "o.run.json"]
+    [run_record] = run_records(out)
+    assert run_record["command"].startswith(f"xisa {argv[0]} ")
+    assert run_record["outputs"] == [str(out)]
+
+
 # --- exit code 2: malformed input, usage errors, unwritable output -------------
 
 ARM_CORPUS = str(FIXTURES / "arm_corpus")
@@ -321,14 +341,23 @@ BENCH_NATIVE = json.dumps({
     "schema": "xisa.bench_summary/v1", "mode": "native", "n_valid": 1, "n_failed": 0,
     "geomean_time": 1.0, "geomean_rss": 1.0, "samples": [],
 })
+RUN = json.dumps({"schema": "xisa.run/v1", "outputs": []})
+RESULT = json.dumps({
+    "schema": "xisa.eval_result/v1", "pair_id": "p01", "backend_id": "replay",
+    "edit_distance": 0, "exact_match": True, "outcome": "pass", "failed_count": 0,
+    "signal_name": "", "error_class": None, "candidate_index_used": 0, "logs": "",
+})
 # each case: argv, with {d} standing for a directory that holds these files
 FILES = {
     "not_json": "{not json\n",
     "no_pair_id": json.dumps({"schema": "xisa.eval_result/v1", "backend_id": "b"}) + "\n",
     "pairs.ndjson": json.dumps({"schema": "xisa.pair/v1", "pair_id": "p"}) + "\n",
+    "empty.ndjson": "",
+    "empty.ndjson.run.json": RUN + "\n",
+    "run_then_result": RUN + "\n" + RESULT + "\n",
     "bench.ndjson": BENCH_NATIVE + "\n",
     "vocab.txt": "# xisa vocab v1\n---\n",
-    "f.s": "\t.globl f\nf:\n\tret\n",
+    "f.s": X86_ASM,
     "plain": "a regular file, so nothing can be written under it\n",
 }
 EXIT_2_CASES = {
@@ -336,7 +365,9 @@ EXIT_2_CASES = {
     "report_result_without_pair_id": ["report", "{d}/no_pair_id"],
     "report_on_a_pair_store": ["report", "{d}/pairs.ndjson"],
     "report_on_a_directory": ["report", "{d}"],
+    "report_results_starting_with_a_run_record": ["report", "{d}/run_then_result"],
     "inspect_not_json": ["dataset", "inspect", "{d}/not_json"],
+    "inspect_sidecar_without_tool_versions": ["dataset", "inspect", "{d}/empty.ndjson"],
     "bench_compare_not_json": ["bench", "compare", "--baseline", "native", "{d}/not_json"],
     "stats_extended_not_a_vocabulary": [
         "tokenizer", "stats", "--extended", "{d}/not_json", "--asm-dir", ARM_CORPUS],
@@ -358,10 +389,13 @@ EXIT_2_CASES = {
         "--out", "{d}/v.txt"],
     "tokenizer_stats_without_input": ["tokenizer", "stats", "--extended", "{d}/vocab.txt"],
     "bench_run_runs_0": [
-        "bench", "run", "--bin", "{true}", "--runs", "0", "--out", "{d}/b.ndjson"],
+        "bench", "run", "--bin", "{mark}", "--runs", "0", "--out", "{d}/b.ndjson"],
     "bench_run_out_under_a_file": [
-        "bench", "run", "--bin", "{true}", "--runs", "1", "--warmup", "0",
+        "bench", "run", "--bin", "{mark}", "--runs", "1", "--warmup", "0",
         "--out", "{d}/plain/b.ndjson"],
+    "eval_run_out_under_a_file": [
+        "eval", "run", "--suite", str(FIXTURES / "mini_suite"), "--backend", "replay",
+        "--target", "x86_64", "--config", "{d}/mark.cfg", "--out", "{d}/plain/r.ndjson"],
     "transpile_out_under_a_file": [
         "transpile", "--in", "{d}/f.s", "--backend", "identity", "--target", "x86_64",
         "--out", "{d}/plain/out.s"],
@@ -372,8 +406,15 @@ EXIT_2_CASES = {
 def test_harness_and_usage_errors_exit_2(tmp_path, capsys, argv):
     for name, text in FILES.items():
         (tmp_path / name).write_text(text)
+    # a binary, and a compiler, that leave a marker: a case that exits 2 has run neither
+    marker = tmp_path / "ran"
+    mark = tmp_path / "mark"
+    mark.write_text(f"#!/bin/sh\ntouch {marker}\n")
+    mark.chmod(0o755)
+    (tmp_path / "mark.cfg").write_text(f"[x86_64]\ncompile = {mark} {{input}} {{output}}\n")
     true = shutil.which("true") or "/bin/true"
-    assert main([a.format(d=tmp_path, true=true) for a in argv]) == 2
+    assert main([a.format(d=tmp_path, true=true, mark=mark) for a in argv]) == 2
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
+    assert not marker.exists()

@@ -203,6 +203,7 @@ def test_interrupted_write_keeps_the_old_file(tmp_path):
     with pytest.raises(KeyboardInterrupt):
         atomic_write(path, chunks())
     assert path.read_text() == "complete\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
 
 def test_malformed_line_is_named_by_file_and_line(tmp_path):
@@ -225,18 +226,16 @@ def test_store_holding_a_run_record_is_rejected(tmp_path):
         list(read_store(store))
 
 
-def test_results_file_run_summary_and_blank_lines_passed_over(tmp_path):
+def test_results_file_holds_only_result_records(tmp_path):
     result = {
         "schema": "xisa.eval_result/v1", "pair_id": "p01", "backend_id": "replay",
         "edit_distance": 0, "exact_match": True, "outcome": "pass", "failed_count": 0,
         "signal_name": "", "error_class": None, "candidate_index_used": 0, "logs": "",
     }
     path = tmp_path / "results.ndjson"
-    path.write_text("\n".join([
-        json.dumps({"schema": "xisa.run/v1", "outputs": [str(path)]}),
-        "",
-        json.dumps(result),
-        "   ",
-        json.dumps({"schema": "xisa.summary/v1", "n": 1}),
-    ]) + "\n")
+    path.write_text("\n".join(["", json.dumps(result), "   "]) + "\n")
     assert [r.pair_id for r in read_results(path)] == ["p01"]
+    # a run record belongs in <out>.run.json, never in the results file
+    path.write_text(json.dumps({"schema": "xisa.run/v1", "outputs": [str(path)]}) + "\n")
+    with pytest.raises(MalformedRecord, match=f"{path}:1: schema 'xisa.run/v1'"):
+        read_results(path)
