@@ -18,9 +18,9 @@ python3 -m xisa.cli dataset inspect "$OUT/pairs.ndjson"
 
 echo "== 2. extended vocabulary from the corpus"
 python3 -m xisa.cli tokenizer build \
-    --corpus-store "$OUT/pairs.ndjson" --top-k 512 --out "$OUT/vocab.txt"
+    --corpus-store "$OUT/pairs.ndjson" --top-k 512 --out "$OUT/vocab.ndjson"
 python3 -m xisa.cli tokenizer stats \
-    --extended "$OUT/vocab.txt" --corpus-store "$OUT/pairs.ndjson"
+    --extended "$OUT/vocab.ndjson" --corpus-store "$OUT/pairs.ndjson"
 
 echo "== 3. harness self-test: ground-truth replay over the mini-suite"
 python3 -m xisa.cli eval run \
@@ -40,7 +40,7 @@ python3 -m xisa.cli report "$OUT/rule.ndjson"
 echo
 echo "== 6. segmentation of one fixture"
 python3 -m xisa.cli segment --in tests/fixtures/arm_corpus/swap_sort.s \
-    --isa armv5 --budget 1024 --vocab "$OUT/vocab.txt"
+    --isa armv5 --budget 1024 --vocab "$OUT/vocab.ndjson"
 
 echo
 echo "demo outputs in $OUT"

@@ -145,7 +145,7 @@ def summary_to_record(summary: BenchSummary) -> dict:
 def record_to_summary(record: dict) -> BenchSummary:
     samples = tuple(
         BenchSample(s["wall_time"], s["max_rss"], s["exit_code"])
-        for s in record.get("samples", [])
+        for s in record["samples"]
     )
     return BenchSummary(
         mode=record["mode"],

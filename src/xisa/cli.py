@@ -141,8 +141,7 @@ def _cmd_tokenizer(args: argparse.Namespace, argv: list[str]) -> int:
         print(f"vocabulary {spec.version}: {len(spec.extended_entries)} entries -> {args.out}")
         return 0
 
-    # stats: token reduction of extended over base
-    base = _vocab_or_baseline(args.base)
+    # stats: token reduction of extended over the byte baseline
     extended = load_vocab(args.extended)
     texts: list[str] = []
     if args.corpus_store:
@@ -151,7 +150,7 @@ def _cmd_tokenizer(args: argparse.Namespace, argv: list[str]) -> int:
     else:
         for path in sorted(Path(args.asm_dir).glob("*.s")):
             texts.append(path.read_text(encoding="utf-8"))
-    ratio = tok.token_reduction_ratio(texts, base, extended)
+    ratio = tok.token_reduction_ratio(texts, tok.BYTE_BASELINE, extended)
     print(f"corpus items: {len(texts)}")
     print(f"token reduction: {ratio * 100.0:.2f}%")
     return 0
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     t_build.add_argument("--top-k", type=int, default=512)
     t_build.add_argument("--out", required=True)
     t_stats = tsub.add_parser("stats")
-    t_stats.add_argument("--base")
     t_stats.add_argument("--extended", required=True)
     t_stats_in = t_stats.add_mutually_exclusive_group(required=True)
     t_stats_in.add_argument("--corpus-store")
@@ -430,6 +428,8 @@ def main(argv: list[str] | None = None) -> int:
         out = getattr(args, "out", None)
         if out and not Path(out).parent.is_dir():
             raise NotADirectoryError(f"cannot write {out}: {Path(out).parent} is not a directory")
+        if out and Path(out).is_dir():
+            raise IsADirectoryError(f"cannot write {out}: it is a directory")
         return _HANDLERS[args.command](args, argv)
     except (XisaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -144,8 +144,8 @@ def record_to_pair(record: dict) -> TranspilePair:
         tokenizer_version=record["tokenizer_version"],
         token_count_x86=record["token_count_x86"],
         token_count_target=record["token_count_target"],
-        test_source_path=record.get("test_source_path"),
-        build_log=record.get("build_log", ""),
+        test_source_path=record["test_source_path"],
+        build_log=record["build_log"],
     )
 
 

@@ -598,12 +598,12 @@ def record_to_result(record: dict) -> EvalResult:
         exact_match=record["exact_match"],
         outcome=TestOutcome(
             OutcomeStatus(record["outcome"]),
-            failed_count=record.get("failed_count", 0),
-            signal_name=record.get("signal_name", ""),
+            failed_count=record["failed_count"],
+            signal_name=record["signal_name"],
         ),
         error_class=ErrorClass(record["error_class"]) if record["error_class"] else None,
         candidate_index_used=record["candidate_index_used"],
-        logs=record.get("logs", ""),
+        logs=record["logs"],
     )
 
 

@@ -20,35 +20,42 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .asmtext import AssemblyUnit, OperandKind
-from .core import atomic_write
+from .core import read_records, write_records
+from .errors import MalformedRecord
 
 _IDENT_CLASS = "[A-Za-z0-9_.]"
 
-
-def _sorted_entries(entries: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(set(entries), key=lambda e: (-len(e), e)))
+VOCAB_SCHEMA = "xisa.vocab/v1"
 
 
 @dataclass(frozen=True)
 class TokenizerSpec:
-    """Extended vocabulary in greedy longest-match order."""
+    """Extended vocabulary in greedy longest-match order.
 
-    isa_scope: frozenset[str] = frozenset()
+    Takes any iterable of entries, and keeps each once, longest first, ties
+    by text.  Without a version, the version is ``v1-`` and the first 8 hex
+    digits of the SHA-256 of the ordered entries.
+    """
+
     extended_entries: tuple[str, ...] = ()
-    version: str = "empty"
+    version: str = ""
     pattern: re.Pattern[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for e in self.extended_entries:
+        entries = list(self.extended_entries)
+        for e in entries:
+            if not isinstance(e, str):
+                raise ValueError(f"vocabulary entry is not a string: {e!r}")
             if not e:
                 raise ValueError("empty vocabulary entry")
             if any(c.isspace() for c in e):
                 raise ValueError(f"vocabulary entry contains whitespace: {e!r}")
-        if len(set(self.extended_entries)) != len(self.extended_entries):
-            raise ValueError("duplicate vocabulary entries")
-        if self.extended_entries != _sorted_entries(self.extended_entries):
-            raise ValueError("entries not in greedy longest-match order")
-        alternatives = [_entry_pattern(e) for e in self.extended_entries]
+        ordered = tuple(sorted(set(entries), key=lambda e: (-len(e), e)))
+        object.__setattr__(self, "extended_entries", ordered)
+        if not self.version:
+            digest = hashlib.sha256("\n".join(ordered).encode()).hexdigest()[:8]
+            object.__setattr__(self, "version", f"v1-{digest}")
+        alternatives = [_entry_pattern(e) for e in ordered]
         pattern = re.compile("|".join([*alternatives, "."]), re.DOTALL)
         object.__setattr__(self, "pattern", pattern)
 
@@ -73,23 +80,6 @@ class TokenStream:
     tokens: tuple[str, ...]
 
 
-def make_spec(
-    entries: Iterable[str],
-    isa_scope: Iterable[str] = (),
-    version: str | None = None,
-) -> TokenizerSpec:
-    """Build a spec from entries, sorting them into match order."""
-    ordered = _sorted_entries(entries)
-    if version is None:
-        digest = hashlib.sha256("\n".join(ordered).encode()).hexdigest()[:8]
-        version = f"v1-{digest}"
-    return TokenizerSpec(
-        isa_scope=frozenset(isa_scope),
-        extended_entries=ordered,
-        version=version,
-    )
-
-
 def build_vocab(corpus: Iterable[AssemblyUnit], top_k: int) -> TokenizerSpec:
     """Vocabulary of the top_k most frequent mnemonics plus all observed registers.
 
@@ -101,11 +91,9 @@ def build_vocab(corpus: Iterable[AssemblyUnit], top_k: int) -> TokenizerSpec:
         raise ValueError("top_k must be >= 1")
     mnemonic_counts: Counter[str] = Counter()
     registers: set[str] = set()
-    isa_scope: set[str] = set()
     seen_any = False
     for unit in corpus:
         seen_any = True
-        isa_scope.add(unit.isa.value)
         for line in unit.lines:
             if line.instruction is None:
                 continue
@@ -117,7 +105,7 @@ def build_vocab(corpus: Iterable[AssemblyUnit], top_k: int) -> TokenizerSpec:
         raise ValueError("empty corpus")
     ranked = sorted(mnemonic_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     picked = {name for name, _ in ranked[:top_k]}
-    return make_spec(picked | registers, isa_scope=isa_scope)
+    return TokenizerSpec(picked | registers)
 
 
 def tokenize(text: str, spec: TokenizerSpec) -> TokenStream:
@@ -147,46 +135,25 @@ def token_reduction_ratio(
     return 1.0 - mean_ext / mean_base
 
 
-_HEADER_PREFIX = "# xisa vocab"
-
-
 def save_vocab(spec: TokenizerSpec, path: str | Path) -> None:
-    """Write the newline-delimited vocabulary file, renamed into place."""
-    lines = [
-        f"{_HEADER_PREFIX} v1",
-        f"version = {spec.version}",
-        f"isa_scope = {','.join(sorted(spec.isa_scope))}",
-        "fallback = byte",
-        "---",
-    ]
-    lines.extend(spec.extended_entries)
-    atomic_write(path, ["\n".join(lines) + "\n"])
+    """Write the vocabulary as one ``xisa.vocab/v1`` record."""
+    record = {"schema": VOCAB_SCHEMA, "version": spec.version, "entries": spec.extended_entries}
+    write_records(path, [record])
+
+
+def record_to_spec(record: dict) -> TokenizerSpec:
+    entries, version = record["entries"], record["version"]
+    if not isinstance(entries, list) or not isinstance(version, str):
+        raise ValueError("entries must be a list and version a string")
+    return TokenizerSpec(entries, version)
 
 
 def load_vocab(path: str | Path) -> TokenizerSpec:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(_HEADER_PREFIX):
-        raise ValueError(f"{path}: not a vocabulary file")
-    meta: dict[str, str] = {}
-    body_start = None
-    for i, line in enumerate(lines[1:], start=1):
-        if line.strip() == "---":
-            body_start = i + 1
-            break
-        key, _, value = line.partition("=")
-        meta[key.strip()] = value.strip()
-    if body_start is None:
-        raise ValueError(f"{path}: missing --- separator")
-    if meta.get("fallback", "byte") != "byte":
-        raise ValueError(f"{path}: unsupported fallback {meta['fallback']!r}")
-    entries = [ln for ln in lines[body_start:] if ln]
-    scope = frozenset(s for s in meta.get("isa_scope", "").split(",") if s)
-    return TokenizerSpec(
-        isa_scope=scope,
-        extended_entries=_sorted_entries(entries),
-        version=meta.get("version", "unknown"),
-    )
+    """The spec of a vocabulary file, which holds exactly one record."""
+    specs = list(read_records(path, VOCAB_SCHEMA, record_to_spec))
+    if len(specs) != 1:
+        raise MalformedRecord(f"{path}: {len(specs)} {VOCAB_SCHEMA} records, expected 1")
+    return specs[0]
 
 
 #: Base spec used as the no-vocabulary reference point.

@@ -36,7 +36,7 @@ from xisa.evaluation import (
     summarize,
 )
 from xisa.segmenter import segment_unit
-from xisa.tokenizer import BYTE_BASELINE, build_vocab, make_spec, token_reduction_ratio, tokenize
+from xisa.tokenizer import BYTE_BASELINE, TokenizerSpec, build_vocab, token_reduction_ratio, tokenize
 
 PASS = "ACCEPTANCE {}: PASS — {}"
 
@@ -102,7 +102,7 @@ def test_criterion_1_levenshtein_oracle_equivalence():
 # --- 2. tokenizer fixture -------------------------------------------------------
 
 def test_criterion_2_tokenizer_fixture():
-    spec = make_spec(["ldr", "r1", "r2"])
+    spec = TokenizerSpec(["ldr", "r1", "r2"])
     extended = tokenize("ldr r1, r2", spec)
     assert list(extended.tokens) == ["ldr", " ", "r1", ",", " ", "r2"]
     baseline = tokenize("ldr r1, r2", BYTE_BASELINE)
@@ -234,10 +234,10 @@ def test_criterion_7_invariant_suite(arm_corpus_units, _result_log):
             "".join(rng.choice(entry_chars) for _ in range(rng.randint(1, 5)))
             for _ in range(rng.randint(0, 8))
         ]
-        spec = make_spec(entries)
+        spec = TokenizerSpec(entries)
         stream = tokenize(text, spec)
         assert "".join(stream.tokens) == text  # losslessness
-        bigger = make_spec(
+        bigger = TokenizerSpec(
             entries
             + ["".join(rng.choice(entry_chars) for _ in range(rng.randint(1, 5)))]
         )

@@ -252,8 +252,9 @@ def _flags(text: str, isa: IsaName) -> dict[str, list[int]]:
     # tail calls and indirect jumps leave it too
     ("movl $1, %eax\njmp f\nmovl $2, %eax", IsaName.X86_64),
     ("movl $1, %eax\njmp *%rdx\nmovl $2, %eax", IsaName.X86_64),
-    # a conditional move keeps its destination when the condition fails
+    # a conditional move or load keeps its destination when the condition fails
     ("mov r0, #0\ncmp r1, r2\nmovle r0, #1\nbx lr", IsaName.ARMV5),
+    ("mov r0, #1\nldreq r0, [r1]\nbx lr", IsaName.ARMV5),
     ("movl $0, %eax\ncmpl %esi, %edi\ncmovl %esi, %eax\nret", IsaName.X86_64),
 ])
 def test_profile_control_flow_keeps_live_writes(text, isa):
@@ -383,8 +384,8 @@ _PURE_WRITE_PREFIXES = ("mov", "ldr", "lw", "ld", "lb", "lh", "li", "lui", "la",
 # where the tables correct the heuristic: movk keeps the other 48 bits
 _PREFIX_ORACLE_WRONG = {
     IsaName.ARMV8: {"movk"},
-    # a conditional move keeps its destination when the condition fails
-    IsaName.ARMV5: {"moveq", "movne", "movlt", "movgt", "movle", "movge"},
+    # a conditional move or load keeps its destination when the condition fails
+    IsaName.ARMV5: {"moveq", "movne", "movlt", "movgt", "movle", "movge", "ldreq", "ldrne"},
     # partial-register writes keep the rest of the register; gcc's frame
     # chain pops %rbp after saving %rsp in it
     IsaName.X86_64: {"sete", "setne", "setl", "setg", "setle", "setge", "movb", "movw",

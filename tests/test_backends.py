@@ -30,7 +30,7 @@ from xisa.errors import (
     UnsupportedInstruction,
 )
 from xisa.evaluation import run_functional
-from xisa.tokenizer import make_spec
+from xisa.tokenizer import TokenizerSpec
 
 
 def req(source: str, beams: int = 1, target: IsaName = IsaName.ARMV5, **kw):
@@ -71,7 +71,7 @@ def test_replay_backend_maps_known_sources(mini_pairs):
 
 
 def test_context_overflow_before_any_work():
-    spec = make_spec([])  # byte fallback: one token per char
+    spec = TokenizerSpec([])  # byte fallback: one token per char
     backend = IdentityBackend(tokenizer_spec=spec)
     long_source = "x" * 64
     with pytest.raises(ContextOverflow):

@@ -9,7 +9,9 @@ import pytest
 from conftest import CONFIGS, FIXTURES, needs_gcc, needs_lite
 from xisa.cli import RUN_SCHEMA, _config_fingerprint, main
 from xisa.core import load_config, read_records
+from xisa.dataset import read_store
 from xisa.evaluation import read_results, summarize
+from xisa.tokenizer import load_vocab
 
 LITE = str(CONFIGS / "clang-lite.cfg")
 
@@ -95,6 +97,38 @@ def test_dataset_build_and_inspect_x86_64_gcc_only(tmp_path, capsys):
     assert "target ISA: x86_64  opt: -O0" in lines
     assert f"  x86_64: {versions['x86_64']}" in lines
     assert "gcc" in versions["x86_64"]
+
+
+@needs_gcc
+def test_vocabulary_from_a_pair_store_feeds_every_vocab_flag_gcc_only(tmp_path, capsys):
+    pairs, vocab = tmp_path / "pairs.ndjson", tmp_path / "vocab.ndjson"
+    build = ["dataset", "build", "--src", str(FIXTURES / "c_corpus"), "--target", "x86_64",
+             "--sample", "3", "--config", LITE]
+    assert main([*build, "--out", str(pairs)]) == 0
+    assert main(["tokenizer", "build", "--corpus-store", str(pairs), "--top-k", "16",
+                 "--out", str(vocab)]) == 0
+    spec = load_vocab(vocab)
+    assert spec.extended_entries
+    capsys.readouterr()
+    assert main(["tokenizer", "stats", "--extended", str(vocab),
+                 "--corpus-store", str(pairs)]) == 0
+    assert "corpus items: 3" in capsys.readouterr().out
+
+    versioned = tmp_path / "versioned.ndjson"
+    assert main([*build, "--vocab", str(vocab), "--out", str(versioned)]) == 0
+    records = list(read_store(versioned))
+    assert len(records) == 3
+    assert {p.tokenizer_version for p in records} == {spec.version}
+
+    asm = tmp_path / "f.s"
+    asm.write_text(records[0].x86.raw_text)
+    capsys.readouterr()
+    assert main(["segment", "--in", str(asm), "--isa", "x86_64", "--vocab", str(vocab)]) == 0
+    assert "tokens=" in capsys.readouterr().out
+    out = tmp_path / "out.s"
+    assert main(["transpile", "--in", str(asm), "--backend", "identity", "--target", "x86_64",
+                 "--vocab", str(vocab), "--out", str(out)]) == 0
+    assert out.read_text() == asm.read_text()
 
 
 def test_config_fingerprint_covers_expanded_commands(tmp_path, monkeypatch):
@@ -232,7 +266,7 @@ def test_segment_listing(tmp_path, capsys):
 
 
 def test_tokenizer_build_and_stats(tmp_path, capsys):
-    vocab = tmp_path / "vocab.txt"
+    vocab = tmp_path / "vocab.ndjson"
     rc = main(
         ["tokenizer", "build", "--asm-dir", str(FIXTURES / "arm_corpus"),
          "--isa", "armv5", "--top-k", "32", "--out", str(vocab)]
@@ -337,16 +371,17 @@ def test_out_and_its_run_record_are_all_a_command_leaves(tmp_path, capsys, argv)
 # --- exit code 2: malformed input, usage errors, unwritable output -------------
 
 ARM_CORPUS = str(FIXTURES / "arm_corpus")
-BENCH_NATIVE = json.dumps({
+BENCH_NATIVE = {
     "schema": "xisa.bench_summary/v1", "mode": "native", "n_valid": 1, "n_failed": 0,
     "geomean_time": 1.0, "geomean_rss": 1.0, "samples": [],
-})
+}
 RUN = json.dumps({"schema": "xisa.run/v1", "outputs": []})
-RESULT = json.dumps({
+RESULT = {
     "schema": "xisa.eval_result/v1", "pair_id": "p01", "backend_id": "replay",
     "edit_distance": 0, "exact_match": True, "outcome": "pass", "failed_count": 0,
     "signal_name": "", "error_class": None, "candidate_index_used": 0, "logs": "",
-})
+}
+VOCAB = {"schema": "xisa.vocab/v1", "version": "v1-test", "entries": ["ldr", "r1"]}
 # each case: argv, with {d} standing for a directory that holds these files
 FILES = {
     "not_json": "{not json\n",
@@ -354,9 +389,17 @@ FILES = {
     "pairs.ndjson": json.dumps({"schema": "xisa.pair/v1", "pair_id": "p"}) + "\n",
     "empty.ndjson": "",
     "empty.ndjson.run.json": RUN + "\n",
-    "run_then_result": RUN + "\n" + RESULT + "\n",
-    "bench.ndjson": BENCH_NATIVE + "\n",
-    "vocab.txt": "# xisa vocab v1\n---\n",
+    "run_then_result": RUN + "\n" + json.dumps(RESULT) + "\n",
+    "result_without_three_fields": json.dumps(
+        {k: v for k, v in RESULT.items() if k not in ("failed_count", "signal_name", "logs")}
+    ) + "\n",
+    "bench.ndjson": json.dumps(BENCH_NATIVE) + "\n",
+    "bench_without_samples": json.dumps(
+        {k: v for k, v in BENCH_NATIVE.items() if k != "samples"}) + "\n",
+    "vocab.ndjson": json.dumps(VOCAB) + "\n",
+    "vocab_old_header": "# xisa vocab v1\nversion = v1-test\nfallback = byte\n---\nldr\n",
+    "vocab_twice": (json.dumps(VOCAB) + "\n") * 2,
+    "vocab_entry_not_a_string": json.dumps({**VOCAB, "entries": ["ldr", 1]}) + "\n",
     "f.s": X86_ASM,
     "plain": "a regular file, so nothing can be written under it\n",
 }
@@ -366,11 +409,22 @@ EXIT_2_CASES = {
     "report_on_a_pair_store": ["report", "{d}/pairs.ndjson"],
     "report_on_a_directory": ["report", "{d}"],
     "report_results_starting_with_a_run_record": ["report", "{d}/run_then_result"],
+    "report_result_without_failed_count_signal_name_logs": [
+        "report", "{d}/result_without_three_fields"],
     "inspect_not_json": ["dataset", "inspect", "{d}/not_json"],
     "inspect_sidecar_without_tool_versions": ["dataset", "inspect", "{d}/empty.ndjson"],
     "bench_compare_not_json": ["bench", "compare", "--baseline", "native", "{d}/not_json"],
     "stats_extended_not_a_vocabulary": [
         "tokenizer", "stats", "--extended", "{d}/not_json", "--asm-dir", ARM_CORPUS],
+    "bench_compare_summary_without_samples": [
+        "bench", "compare", "--baseline", "native", "{d}/bench_without_samples"],
+    "stats_extended_in_the_old_header_format": [
+        "tokenizer", "stats", "--extended", "{d}/vocab_old_header", "--asm-dir", ARM_CORPUS],
+    "segment_vocab_with_two_records": [
+        "segment", "--in", "{d}/f.s", "--isa", "x86_64", "--vocab", "{d}/vocab_twice"],
+    "transpile_vocab_entry_not_a_string": [
+        "transpile", "--in", "{d}/f.s", "--backend", "identity", "--target", "x86_64",
+        "--vocab", "{d}/vocab_entry_not_a_string", "--out", "{d}/out.s"],
     "bench_compare_absent_baseline": [
         "bench", "compare", "--baseline", "jit", "{d}/bench.ndjson"],
     "segment_budget_0": [
@@ -387,9 +441,11 @@ EXIT_2_CASES = {
     "tokenizer_build_with_both_inputs": [
         "tokenizer", "build", "--corpus-store", "{d}/pairs.ndjson", "--asm-dir", ARM_CORPUS,
         "--out", "{d}/v.txt"],
-    "tokenizer_stats_without_input": ["tokenizer", "stats", "--extended", "{d}/vocab.txt"],
+    "tokenizer_stats_without_input": ["tokenizer", "stats", "--extended", "{d}/vocab.ndjson"],
     "bench_run_runs_0": [
         "bench", "run", "--bin", "{mark}", "--runs", "0", "--out", "{d}/b.ndjson"],
+    "bench_run_out_is_a_directory": [
+        "bench", "run", "--bin", "{mark}", "--runs", "3", "--warmup", "0", "--out", "{d}"],
     "bench_run_out_under_a_file": [
         "bench", "run", "--bin", "{mark}", "--runs", "1", "--warmup", "0",
         "--out", "{d}/plain/b.ndjson"],

@@ -961,9 +961,9 @@ def test_step_outcome_table_infrastructure_faults(python_pair, role, command, ma
 @needs_lite
 def test_context_overflow_marks_pair_as_other_failure(mini_pairs, lite_cfg):
     from xisa.backends import IdentityBackend
-    from xisa.tokenizer import make_spec
+    from xisa.tokenizer import TokenizerSpec
 
-    backend = IdentityBackend(tokenizer_spec=make_spec([]))
+    backend = IdentityBackend(tokenizer_spec=TokenizerSpec([]))
     params = GenerationParams(context_window=8)  # every source overflows
     results, summary = evaluate_suite(
         mini_pairs[:2], backend, params, lite_cfg

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,18 +11,18 @@ from hypothesis import strategies as st
 
 from xisa.asmtext import parse_assembly
 from xisa.core import IsaName
+from xisa.errors import MalformedRecord
 from xisa.tokenizer import (
     BYTE_BASELINE,
     TokenizerSpec,
     build_vocab,
     load_vocab,
-    make_spec,
     save_vocab,
     token_reduction_ratio,
     tokenize,
 )
 
-TABLE1_SPEC = make_spec(["ldr", "r1", "r2", "mov", "str", "add"])
+TABLE1_SPEC = TokenizerSpec(["ldr", "r1", "r2", "mov", "str", "add"])
 
 
 def test_extended_tokenizer_keeps_instruction_atoms():
@@ -35,7 +38,7 @@ def test_byte_fallback_degenerate():
 
 
 def test_boundary_rule_blocks_prefix_match():
-    spec = make_spec(["ldr", "r3", "r2"])
+    spec = TokenizerSpec(["ldr", "r3", "r2"])
     stream = tokenize("ldrb r3, [r2]", spec)
     assert "ldr" not in stream.tokens  # ldrb must not split as ldr + b
     assert "r3" in stream.tokens
@@ -75,7 +78,7 @@ def brute_force_tokens(text: str, entries: list[str]) -> list[str]:
 )
 def test_matches_brute_force_segmenter(text):
     entries = ["ldr", "r3", "r2", "add", "r1"]
-    spec = make_spec(entries)
+    spec = TokenizerSpec(entries)
     assert list(tokenize(text, spec).tokens) == brute_force_tokens(text, entries)
 
 
@@ -106,6 +109,7 @@ def test_build_vocab_on_frozen_corpus(arm_corpus_units):
     assert {"mov", "ldr", "str", "add", "sub", "cmp", "bl"} <= set(
         spec.extended_entries
     )
+    assert spec.version == "v1-b806d092"  # pair stores carry it as tokenizer_version
     top5 = build_vocab(arm_corpus_units, top_k=5)
     mnemonics_only = {
         e for e in top5.extended_entries if e in {"ldr", "str", "b", "add", "cmp", "sub", "mov"}
@@ -141,35 +145,46 @@ def test_reduction_ratio_empty_corpus_rejected():
 
 
 def test_spec_invariants_enforced():
-    with pytest.raises(ValueError):
-        TokenizerSpec(extended_entries=("a", "a"))
-    with pytest.raises(ValueError):
-        TokenizerSpec(extended_entries=("has space",))
-    with pytest.raises(ValueError):
-        TokenizerSpec(extended_entries=("",))
-    with pytest.raises(ValueError):
-        TokenizerSpec(extended_entries=("a", "ab"))  # wrong order
+    spec = TokenizerSpec(["a", "ab", "b", "a"])
+    assert spec.extended_entries == ("ab", "a", "b")
+    assert spec == TokenizerSpec(iter(["b", "a", "ab"]))
+    assert spec.version == TokenizerSpec(["ab", "a", "b"]).version
+    assert TokenizerSpec(["a"], version="mine").version == "mine"
+    for bad in ("has space", "", 3):
+        with pytest.raises(ValueError):
+            TokenizerSpec(["ok", bad])
+    # the version pair stores carry as tokenizer_version
+    assert TokenizerSpec().version == "v1-e3b0c442"
+    assert TokenizerSpec(["r1", "mov"]).version == "v1-" + hashlib.sha256(b"mov\nr1").hexdigest()[:8]
 
 
 def test_vocab_save_load_roundtrip(tmp_path, arm_corpus_units):
     spec = build_vocab(arm_corpus_units, top_k=32)
-    path = tmp_path / "vocab.txt"
+    path = tmp_path / "vocab.ndjson"
     save_vocab(spec, path)
+    [record] = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(record) == {
+        "schema": "xisa.vocab/v1", "version": spec.version, "entries": list(spec.extended_entries),
+    }
     again = load_vocab(path)
     assert again == spec
     assert tokenize("ldrb r3, [r2]", again) == tokenize("ldrb r3, [r2]", spec)
 
 
-def test_vocab_header_fallback_is_fixed(tmp_path):
-    path = tmp_path / "vocab.txt"
-    save_vocab(TABLE1_SPEC, path)
-    header = path.read_text(encoding="utf-8").split("---")[0]
-    assert "fallback = byte\n" in header
-    path.write_text(
-        path.read_text(encoding="utf-8").replace("fallback = byte", "fallback = charclass"),
-        encoding="utf-8",
-    )
-    with pytest.raises(ValueError, match="fallback"):
+@pytest.mark.parametrize("text,message", [
+    ("# xisa vocab v1\n---\nldr\n", ":1: not JSON"),
+    ('{"schema": "xisa.vocab/v1", "version": "v", "entries": [1]}\n', ":1: bad xisa.vocab/v1"),
+    ('{"schema": "xisa.vocab/v1", "entries": []}\n', ":1: bad xisa.vocab/v1"),
+    ('{"schema": "xisa.vocab/v1", "version": "v", "entries": "ldr"}\n', ":1: bad xisa.vocab/v1"),
+    ('{"schema": "xisa.vocab/v1", "version": 7, "entries": []}\n', ":1: bad xisa.vocab/v1"),
+    ("", "0 xisa.vocab/v1 records, expected 1"),
+    ('{"schema": "xisa.vocab/v1", "version": "v", "entries": []}\n' * 2,
+     "2 xisa.vocab/v1 records, expected 1"),
+])
+def test_load_vocab_reads_exactly_one_vocab_record(tmp_path, text, message):
+    path = tmp_path / "vocab.ndjson"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=re.escape(message)):
         load_vocab(path)
 
 
@@ -189,7 +204,7 @@ asm_like_text = st.text(
 @settings(max_examples=1000, deadline=None)
 @given(text=st.text(max_size=120), entries=ident_entries)
 def test_losslessness_property(text, entries):
-    spec = make_spec(entries)
+    spec = TokenizerSpec(entries)
     assert "".join(tokenize(text, spec).tokens) == text
 
 
@@ -197,8 +212,8 @@ def test_losslessness_property(text, entries):
 @given(text=asm_like_text, entries=ident_entries, extra=ident_entries)
 def test_monotonicity_property(text, entries, extra):
     # adding identifier-shaped entries never increases the token count
-    small = make_spec(entries)
-    large = make_spec(list(entries) + list(extra))
+    small = TokenizerSpec(entries)
+    large = TokenizerSpec(list(entries) + list(extra))
     assert len(tokenize(text, large).tokens) <= len(tokenize(text, small).tokens)
 
 
@@ -212,11 +227,11 @@ mixed_entries = st.lists(
 @settings(max_examples=1000, deadline=None)
 @given(text=asm_like_text, entries=mixed_entries)
 def test_matches_brute_force_property(text, entries):
-    spec = make_spec(entries)
+    spec = TokenizerSpec(entries)
     assert list(tokenize(text, spec).tokens) == brute_force_tokens(text, entries)
 
 
 @given(text=asm_like_text, entries=ident_entries)
 def test_determinism_property(text, entries):
-    spec = make_spec(entries)
+    spec = TokenizerSpec(entries)
     assert tokenize(text, spec) == tokenize(text, spec)
