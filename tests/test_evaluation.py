@@ -17,7 +17,7 @@ from xisa import evaluation, toolrun
 from xisa.asmtext import parse_assembly
 from xisa.backends import Backend, Candidate, IdentityBackend, ReplayBackend
 from xisa.core import GenerationParams, IsaName, parse_config
-from xisa.dataset import AsmSide, TranspilePair, compile_pair
+from xisa.dataset import AsmSide, TranspilePair, compile_pair, load_eval_suite
 from xisa.errors import MismatchedSuites, ToolchainError
 from xisa.evaluation import (
     ErrorClass,
@@ -690,6 +690,40 @@ def test_libc_call_links_only_hosted_gcc_only(mini_pairs_x86, x86_profiles):
     assert "strlen" in logs
     outcome, logs = run_functional(X86_CSTR_LEN_VIA_LIBC, pair, x86_profiles["cross-gnu"])
     assert outcome.is_pass, logs
+
+
+# gcc -O0 lowers both operations to libgcc routines on x86_64
+LIBGCC_FUNC_C = """\
+long long popcount_quotient(unsigned long long x, long long d) {
+    return __builtin_popcountll(x) + (long long)((__int128)x * x / d);
+}
+"""
+LIBGCC_TEST_C = """\
+long long popcount_quotient(unsigned long long x, long long d);
+
+int main(void) {
+    if (popcount_quotient(0xffULL, 5) != 8 + 13005) return 1;
+    if (popcount_quotient(1ULL << 40, 1LL << 30) != 1 + (1LL << 50)) return 2;
+    if (popcount_quotient(3, -3) != 2 - 3) return 3;
+    return 0;
+}
+"""
+
+
+@needs_gcc
+def test_libgcc_routines_link_freestanding_gcc_only(x86_profiles, tmp_path):
+    # clang-lite links with ld directly and reaches libgcc through the
+    # linker script its driver build writes; cross-gnu's gcc adds libgcc itself
+    problem = tmp_path / "suite" / "p01_libgcc"
+    problem.mkdir(parents=True)
+    (problem / "func.c").write_text(LIBGCC_FUNC_C)
+    (problem / "test.c").write_text(LIBGCC_TEST_C)
+    for profile, cfg in x86_profiles.items():
+        [pair] = load_eval_suite(problem.parent, IsaName.X86_64, cfg)
+        assert "__popcountdi2" in pair.target.raw_text, profile
+        assert "__divti3" in pair.target.raw_text, profile
+        outcome, logs = run_functional(pair.target.normalized_text, pair, cfg)
+        assert outcome.is_pass, (profile, logs)
 
 
 @needs_gcc
