@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -98,6 +98,8 @@ _SHIFT_RE = re.compile(
     re.IGNORECASE,
 )
 _RELOC_RE = re.compile(r"^%\w+\(.*\)$")
+_LOCAL_LABEL_RE = re.compile(r"^\d+[bf]$")  # 1b, 2f: nearest numeric label
+_RISCV_MEM_RE = re.compile(r"^(?P<disp>.*)\((?P<base>[\w$.]+)\)$")
 
 
 def _parse_int(text: str) -> int | None:
@@ -110,54 +112,53 @@ def _parse_int(text: str) -> int | None:
 
 
 def _squeeze(text: str) -> str:
-    return re.sub(r"\s+", " ", text).strip()
+    return " ".join(text.split())
 
 
-def _strip_comment(text: str, leaders: frozenset[str]) -> tuple[str, bool]:
-    """Remove a trailing line comment, honoring double-quoted strings.
+def _unquoted(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (index, char) for each character outside double-quoted strings.
 
-    Returns (code part, had_comment).
+    The quotes belong to the string, and inside it a backslash escapes the
+    next character, as GNU as reads it.  An unterminated string runs to the
+    end of the text.
     """
-    in_quote = False
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            in_quote = not in_quote
-        elif not in_quote:
-            for leader in leaders:
-                if text.startswith(leader, i):
-                    return text[:i], True
-        i += 1
+    in_quote = escaped = False
+    for i, ch in enumerate(text):
+        if in_quote:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_quote = False
+        elif ch == '"':
+            in_quote = True
+        else:
+            yield i, ch
+
+
+def _strip_comment(text: str, leaders: tuple[str, ...]) -> tuple[str, bool]:
+    """Remove a trailing line comment.  Returns (code part, had_comment)."""
+    for i, _ in _unquoted(text):
+        if text.startswith(leaders, i):
+            return text[:i], True
     return text, False
 
 
 def _split_operands(text: str) -> list[str]:
     """Split on top-level commas, respecting (), [], {} and quotes."""
     parts: list[str] = []
-    depth = 0
-    in_quote = False
-    current: list[str] = []
-    for ch in text:
-        if ch == '"':
-            in_quote = not in_quote
-            current.append(ch)
-        elif in_quote:
-            current.append(ch)
-        elif ch in "([{":
+    depth = start = 0
+    for i, ch in _unquoted(text):
+        if ch in "([{":
             depth += 1
-            current.append(ch)
         elif ch in ")]}":
             depth -= 1
-            current.append(ch)
         elif ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p.strip() for p in parts]
+            parts.append(text[start:i].strip())
+            start = i + 1
+    parts.append(text[start:].strip())
+    return parts
 
 
 def _att_operand(text: str, isa: Isa) -> Operand:
@@ -206,7 +207,7 @@ def _att_operand(text: str, isa: Isa) -> Operand:
     value = _parse_int(text)
     if value is not None:
         return Operand(OperandKind.OTHER, text)  # bare literal (directive context)
-    if _SYMBOL_RE.match(text) or re.match(r"^\d+[bf]$", text):
+    if _SYMBOL_RE.match(text) or _LOCAL_LABEL_RE.match(text):
         return Operand(OperandKind.LABEL_REF, text)
     return Operand(OperandKind.OTHER, text, recognized=False)
 
@@ -229,7 +230,7 @@ def _arm_memory(text: str, isa: Isa) -> Operand:
             elif first.lower().lstrip("+-") in isa.registers:
                 index = first.lower().lstrip("+-")
                 if len(rest) == 2:
-                    scale = _squeeze(rest[1])
+                    scale = rest[1]
                     ok = bool(_SHIFT_RE.match(scale))
                 else:
                     ok = len(rest) == 1
@@ -263,7 +264,7 @@ def _arm_operand(text: str, isa: Isa) -> Operand:
     if _REGLIST_RE.match(text):
         return Operand(OperandKind.OTHER, text)  # register list
     if _SHIFT_RE.match(text):
-        return Operand(OperandKind.OTHER, text, scale_or_shift=_squeeze(text))
+        return Operand(OperandKind.OTHER, text, scale_or_shift=text)
     if text.startswith("="):
         return Operand(OperandKind.OTHER, text)  # ldr =constant pseudo operand
     if low in ("cpsr", "spsr", "apsr", "fpscr") or low.startswith(("cpsr_", "spsr_")):
@@ -271,7 +272,7 @@ def _arm_operand(text: str, isa: Isa) -> Operand:
     value = _parse_int(text)
     if value is not None:
         return Operand(OperandKind.IMMEDIATE, text, value=value)
-    if _SYMBOL_RE.match(text) or re.match(r"^\d+[bf]$", text):
+    if _SYMBOL_RE.match(text) or _LOCAL_LABEL_RE.match(text):
         return Operand(OperandKind.LABEL_REF, text)
     return Operand(OperandKind.OTHER, text, recognized=False)
 
@@ -283,7 +284,7 @@ def _riscv_operand(text: str, isa: Isa) -> Operand:
     value = _parse_int(text)
     if value is not None:
         return Operand(OperandKind.IMMEDIATE, text, value=value)
-    m = re.match(r"^(?P<disp>.*)\((?P<base>[\w$.]+)\)$", text)
+    m = _RISCV_MEM_RE.match(text)
     if m and m.group("base").lower() in isa.registers:
         disp = m.group("disp").strip()
         offset = _parse_int(disp) if disp else None
@@ -294,7 +295,7 @@ def _riscv_operand(text: str, isa: Isa) -> Operand:
         return Operand(OperandKind.OTHER, text)
     if _RELOC_RE.match(text):
         return Operand(OperandKind.OTHER, text)  # %hi(sym) style relocation
-    if _SYMBOL_RE.match(text) or re.match(r"^\d+[bf]$", text):
+    if _SYMBOL_RE.match(text) or _LOCAL_LABEL_RE.match(text):
         return Operand(OperandKind.LABEL_REF, text)
     return Operand(OperandKind.OTHER, text, recognized=False)
 
@@ -307,22 +308,22 @@ _OPERAND_PARSERS = {
 
 
 def _parse_instruction(code: str, isa: Isa) -> tuple[Instruction, bool]:
-    """Parse one instruction line.  Returns (instruction, had_fallback)."""
-    parts = code.split(None, 1)
-    mnemonic = parts[0].lower()
+    """Parse one instruction line, its whitespace already collapsed.
+    Returns (instruction, had_fallback)."""
+    mnemonic, _, rest = code.partition(" ")
     operand_parser = _OPERAND_PARSERS[isa.syntax_family]
     operands: list[Operand] = []
     fallback = False
-    if len(parts) > 1 and parts[1].strip():
-        for raw in _split_operands(parts[1]):
-            op = operand_parser(_squeeze(raw), isa)
+    if rest:
+        for raw in _split_operands(rest):
+            op = operand_parser(raw, isa)
             operands.append(op)
             if not op.recognized:
                 fallback = True
     label_refs = frozenset(
         op.text for op in operands if op.kind is OperandKind.LABEL_REF
     )
-    return Instruction(mnemonic, tuple(operands), label_refs), fallback
+    return Instruction(mnemonic.lower(), tuple(operands), label_refs), fallback
 
 
 _FUNC_TYPE_RE = re.compile(
@@ -341,18 +342,17 @@ def parse_assembly(
     spans: list[FunctionSpan] = []
     declared: dict[str, int] = {}  # .type name,@function seen, awaiting label
 
-    raw_lines = text.splitlines()
-    for raw in raw_lines:
+    for raw in text.splitlines():
         code, had_comment = _strip_comment(raw, isa_obj.comment_leaders)
-        stripped = code.strip()
         idx = len(lines)
-        if not stripped:
+        if not code.strip():
             kind = LineKind.COMMENT if had_comment else LineKind.BLANK
             normalized = _squeeze(raw) if had_comment else ""
             lines.append(Line(kind, normalized))
             continue
-        label_match = _LABEL_RE.match(stripped)
-        if label_match and not label_match.group(2).strip():
+        code = _squeeze(code)  # every rule below reads collapsed whitespace
+        label_match = _LABEL_RE.match(code)
+        if label_match and not label_match.group(2):
             name = label_match.group(1)
             lines.append(Line(LineKind.LABEL, f"{name}:"))
             if name in declared:
@@ -364,16 +364,16 @@ def parse_assembly(
             continue
         if label_match:
             # label with trailing code on the same line: keep text, flag gap
-            lines.append(Line(LineKind.LABEL, _squeeze(stripped)))
+            lines.append(Line(LineKind.LABEL, code))
             fallbacks += 1
             continue
-        if stripped.startswith("."):
-            lines.append(Line(LineKind.DIRECTIVE, _squeeze(stripped)))
-            type_match = _FUNC_TYPE_RE.match(_squeeze(stripped))
+        if code.startswith("."):
+            lines.append(Line(LineKind.DIRECTIVE, code))
+            type_match = _FUNC_TYPE_RE.match(code)
             if type_match:
                 declared[type_match.group(1)] = idx
             continue
-        insn, had_fallback = _parse_instruction(_squeeze(stripped), isa_obj)
+        insn, had_fallback = _parse_instruction(code, isa_obj)
         if had_fallback:
             fallbacks += 1
         rendered = insn.mnemonic

@@ -411,10 +411,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # `bench --bin ...` is shorthand for `bench run --bin ...`
-    if argv and argv[0] == "bench" and len(argv) > 1 and argv[1] not in ("run", "compare", "-h", "--help"):
-        argv.insert(1, "run")
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

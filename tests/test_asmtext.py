@@ -15,6 +15,7 @@ from xisa.asmtext import (
     static_register_profile,
 )
 from xisa.core import IsaName, get_isa
+from xisa.evaluation import score_syntactic
 from xisa.toolrun import run_command
 
 from conftest import FIXTURES, needs_gcc
@@ -148,6 +149,70 @@ def test_word_directive_retained():
 def test_whitespace_canonicalization():
     unit = parse_assembly("\t mov \t r0 ,   #0", IsaName.ARMV5)
     assert unit.lines[0].text_normalized == "mov r0, #0"
+
+
+# one line each: isa, line, its kind, its normalized text, operand texts, fallbacks
+SCANNER_CASES = {
+    "leader_inside_a_string_is_kept": (
+        IsaName.X86_64, '\t.string "a # b; c"\t# note', LineKind.DIRECTIVE,
+        '.string "a # b; c"', [], 0),
+    "double_slash_is_an_arm_leader": (
+        IsaName.ARMV5, "\tmov r0, r1 // copy", LineKind.INSTRUCTION, "mov r0, r1",
+        ["r0", "r1"], 0),
+    "lone_slash_is_not_an_arm_leader": (
+        IsaName.ARMV5, "\t.word 8/2 @ half", LineKind.DIRECTIVE, ".word 8/2", [], 0),
+    "unterminated_quote_keeps_the_rest": (
+        IsaName.ARMV5, '\t.ascii "abc @ def', LineKind.DIRECTIVE, '.ascii "abc @ def', [], 0),
+    "escaped_backslash_closes_the_string": (
+        IsaName.ARMV5, '\t.ascii "a\\\\" @ c', LineKind.DIRECTIVE, '.ascii "a\\\\"', [], 0),
+    "escaped_quote_keeps_the_x86_string": (
+        IsaName.X86_64, '.string "x\\"; y"', LineKind.DIRECTIVE, '.string "x\\"; y"', [], 0),
+    "escaped_quote_keeps_the_arm_string": (
+        IsaName.ARMV5, '.ascii "a\\"@b"', LineKind.DIRECTIVE, '.ascii "a\\"@b"', [], 0),
+    "escaped_quote_keeps_the_riscv_string": (
+        IsaName.RISCV64, '.string "q\\"# r"', LineKind.DIRECTIVE, '.string "q\\"# r"', [], 0),
+    "commas_inside_parentheses": (
+        IsaName.X86_64, "\tleaq 8(%rax,%rbx,4), %rcx", LineKind.INSTRUCTION,
+        "leaq 8(%rax,%rbx,4), %rcx", ["8(%rax,%rbx,4)", "%rcx"], 0),
+    "commas_inside_nested_parentheses": (
+        IsaName.RISCV64, "\tlui a0, %hi((s,(t,u)))", LineKind.INSTRUCTION,
+        "lui a0, %hi((s,(t,u)))", ["a0", "%hi((s,(t,u)))"], 0),
+    "commas_inside_brackets": (
+        IsaName.ARMV5, "\tldr r1, [r3, r1, lsl #2]", LineKind.INSTRUCTION,
+        "ldr r1, [r3, r1, lsl #2]", ["r1", "[r3, r1, lsl #2]"], 0),
+    "commas_inside_braces": (
+        IsaName.ARMV5, "\tldmia r0!, {r1, r2}", LineKind.INSTRUCTION,
+        "ldmia r0!, {r1, r2}", ["r0!", "{r1, r2}"], 0),
+    "commas_inside_quotes": (
+        IsaName.X86_64, '\tfoo "a, b", c', LineKind.INSTRUCTION, 'foo "a, b", c',
+        ['"a, b"', "c"], 1),
+    "label_with_trailing_code": (
+        IsaName.X86_64, ".L2:\tmovl  $1,%eax", LineKind.LABEL, ".L2: movl $1,%eax", [], 1),
+    "tab_and_space_runs_collapse": (
+        IsaName.ARMV5, " \t mov \t r0 ,\t  r1 ,  lsl \t #2 ", LineKind.INSTRUCTION,
+        "mov r0, r1, lsl #2", ["r0", "r1", "lsl #2"], 0),
+    "comment_only_line_collapses": (
+        IsaName.RISCV64, "  #\t  note  here ", LineKind.COMMENT, "# note here", [], 0),
+}
+
+
+@pytest.mark.parametrize(
+    "isa,line,kind,text,operands,fallbacks", SCANNER_CASES.values(), ids=SCANNER_CASES.keys()
+)
+def test_line_scanner(isa, line, kind, text, operands, fallbacks):
+    unit = parse_assembly(line, isa)
+    (parsed,) = unit.lines
+    assert (parsed.kind, parsed.text_normalized) == (kind, text)
+    insn = parsed.instruction
+    assert ([op.text for op in insn.operands] if insn else []) == operands
+    assert unit.parse_fallbacks == fallbacks
+
+
+def test_data_after_an_escaped_quote_is_scored():
+    distance, exact = score_syntactic(
+        '\t.string "x\\"; y"\n', '\t.string "x\\"; q"\n', IsaName.X86_64
+    )
+    assert distance > 0 and not exact
 
 
 def test_parse_never_raises_on_garbage():

@@ -318,22 +318,6 @@ def test_eval_outputs_are_atomic_and_deterministic(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_bench_shorthand_without_run(tmp_path, capsys):
-    import stat
-    import sys
-
-    script = tmp_path / "quick"
-    script.write_text(f"#!{sys.executable}\npass\n")
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    out = tmp_path / "b.ndjson"
-    rc = main(
-        ["bench", "--bin", str(script), "--runs", "1", "--warmup", "0",
-         "--mode", "m", "--out", str(out)]
-    )
-    assert rc == 0
-    assert out.exists()
-
-
 # --- every --out command writes <out> and its run record <out>.run.json -------
 
 X86_ASM = "\t.globl f\nf:\n\tret\n"
@@ -442,6 +426,8 @@ EXIT_2_CASES = {
         "tokenizer", "build", "--corpus-store", "{d}/pairs.ndjson", "--asm-dir", ARM_CORPUS,
         "--out", "{d}/v.txt"],
     "tokenizer_stats_without_input": ["tokenizer", "stats", "--extended", "{d}/vocab.ndjson"],
+    "bench_without_run": [
+        "bench", "--bin", "{mark}", "--runs", "1", "--warmup", "0", "--out", "{d}/b.ndjson"],
     "bench_run_runs_0": [
         "bench", "run", "--bin", "{mark}", "--runs", "0", "--out", "{d}/b.ndjson"],
     "bench_run_out_is_a_directory": [
