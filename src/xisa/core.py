@@ -190,9 +190,10 @@ class IsaCommands:
     other step is an infrastructure fault.  So {candidate} gets a step of its
     own, naming neither {test_src} nor {output}; ``parse_config`` enforces it.
     The steps that name neither {candidate} nor {output} are the driver
-    build: they run in order in a {tmpdir} of their own, once per distinct
-    input in a process, and read only the files named on their command lines
-    or written by earlier driver steps.
+    build: they run first, in order, in a {tmpdir} of their own, once per
+    distinct input in a process, and read only the files named on their
+    command lines or written by earlier driver steps; the other steps follow
+    in order.
     ``emulate`` runs the binary ({input}); a bare ``{input}`` means native
     execution.
     """

@@ -195,23 +195,23 @@ def build_corpus(
 
     written = 0
 
+    def compile_or_skip(path: Path) -> TranspilePair | None:
+        try:
+            return compile_pair(path, target, cfg, tokenizer_spec)
+        except (CompileFailed, ToolTimeout) as exc:
+            log.warning("skipping %s: %s", path, exc)
+            return None
+
     def records() -> Iterator[dict]:
         nonlocal written
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
             # written in submission order (sorted paths), not completion
-            # order, so the store is the same bytes for every jobs value
-            futures = [
-                (path, pool.submit(compile_pair, path, target, cfg, tokenizer_spec))
-                for path in files
-            ]
-            for path, future in futures:
-                try:
-                    pair = future.result()
-                except (CompileFailed, ToolTimeout) as exc:
-                    log.warning("skipping %s: %s", path, exc)
-                    continue
-                written += 1
-                yield pair_to_record(pair)
+            # order, so the store is the same bytes for every jobs value;
+            # each pair is dropped once written
+            for pair in pool.map(compile_or_skip, files):
+                if pair is not None:
+                    written += 1
+                    yield pair_to_record(pair)
 
     write_records(store_path, records())
     return written

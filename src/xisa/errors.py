@@ -61,17 +61,17 @@ class BackendUnavailable(XisaError):
 
 
 class BackendRefused(XisaError):
-    """The backend answered with an error body."""
+    """The backend gave no usable candidate for this source."""
 
 
-class ContextOverflow(XisaError):
+class ContextOverflow(BackendRefused):
     def __init__(self, tokens: int, window: int):
         super().__init__(f"source is {tokens} tokens, exceeds context window {window}")
         self.tokens = tokens
         self.window = window
 
 
-class UnsupportedInstruction(XisaError):
+class UnsupportedInstruction(BackendRefused):
     def __init__(self, mnemonic: str, line: int):
         super().__init__(f"line {line}: mnemonic {mnemonic!r} outside the rule subset")
         self.mnemonic = mnemonic

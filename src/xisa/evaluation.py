@@ -28,7 +28,7 @@ from .asmtext import AssemblyUnit, normalize, parse_assembly, static_register_pr
 from .backends import Backend, TranspileRequest
 from .core import GenerationParams, IsaName, ToolchainConfig, read_records
 from .dataset import TranspilePair
-from .errors import MismatchedSuites, ToolchainError, XisaError
+from .errors import BackendRefused, MismatchedSuites, ToolchainError
 
 RESULT_SCHEMA = "xisa.eval_result/v1"
 
@@ -319,21 +319,32 @@ def run_functional(
     Candidate faults map to TestOutcome; broken infrastructure (missing tools,
     failing test-driver builds) raises ToolchainError instead so harness bugs
     are never scored as translation failures.  A failing build step's
-    placeholders alone decide which (see ``IsaCommands``).  At the first step
-    that names neither {candidate} nor {output}, ``build_driver`` runs all
-    such steps, in order, in a directory of their own, or returns what it
-    built before for the same key; their files are copied into this run's
-    {tmpdir}, and each step's log line lands at that step's place in the
-    logs.  So a driver step may read only files named on its command line or
-    written by earlier driver steps, never a candidate step's output.
+    placeholders alone decide which (see ``IsaCommands``).  First
+    ``build_driver`` runs every step that names neither {candidate} nor
+    {output}, in order, in a directory of their own, or returns what it built
+    before for the same key; their files are copied into this run's {tmpdir}
+    and their log lines open the logs.  Then the other steps run in config
+    order, then the emulator.  So a driver step may read only files named on
+    its command line or written by earlier driver steps, never a candidate
+    step's output.
     """
     if not pair.test_source_path:
         raise ValueError(f"pair {pair.pair_id} has no test program")
     cmds = cfg.require(pair.target_isa, "assemble_link", "emulate")
-    driver = tuple(s for s in cmds.assemble_link if _step_role(s) == "driver")
-    logs: list[str] = []
+    steps = [(_step_role(s), s) for s in cmds.assemble_link]
+    driver = tuple(s for role, s in steps if role == "driver")
+    others = [(role, s) for role, s in steps if role != "driver"]
+    driver_lines, files = build_driver(*_driver_key(driver, pair, cfg))
+    logs = list(driver_lines)
 
     with tempfile.TemporaryDirectory(prefix="xisa-run-") as td:
+        for rel, mode, data in files:
+            path = Path(td) / rel
+            if data is None:
+                path.mkdir(exist_ok=True)
+            else:
+                path.write_bytes(data)
+            path.chmod(mode)
         candidate_path = Path(td) / "candidate.s"
         text = candidate_text if candidate_text.endswith("\n") else candidate_text + "\n"
         candidate_path.write_text(text, encoding="utf-8")
@@ -346,22 +357,7 @@ def run_functional(
             "opt": cfg.optimization_level,
         }
 
-        driver_lines = None
-        for step in cmds.assemble_link:
-            role = _step_role(step)
-            if role == "driver":
-                if driver_lines is None:
-                    lines, files = build_driver(*_driver_key(driver, pair, cfg))
-                    for rel, mode, data in files:
-                        path = Path(td) / rel
-                        if data is None:
-                            path.mkdir(exist_ok=True)
-                        else:
-                            path.write_bytes(data)
-                        path.chmod(mode)
-                    driver_lines = iter(lines)
-                logs.append(next(driver_lines))
-                continue
+        for role, step in others:
             outcome, line = _run_step(role, step, mapping, cfg.timeout_compile, td)
             logs.append(line)
             if outcome is not None:
@@ -443,6 +439,8 @@ def evaluate_pair(
     raw: bool = False,
     line_level: bool = False,
 ) -> EvalResult:
+    """Score one pair.  A backend's refusal scores as an empty beam 0 that
+    failed its test, in class OTHER; every other error propagates."""
     try:
         response = backend.transpile(
             TranspileRequest(
@@ -451,30 +449,19 @@ def evaluate_pair(
                 params=params,
             )
         )
-    except ToolchainError:
-        raise
-    except XisaError as exc:
-        distance, exact = score_syntactic(
-            "", pair.target.raw_text, pair.target_isa, raw, line_level
-        )
-        return EvalResult(
-            pair_id=pair.pair_id,
-            backend_id=backend.backend_id,
-            edit_distance=distance,
-            exact_match=exact,
-            outcome=TestOutcome.test_failed(0),
-            error_class=ErrorClass.OTHER,
-            candidate_index_used=0,
-            logs=f"backend error: {exc}",
-        )
-
-    candidates = [c.text for c in response.candidates]
+    except BackendRefused as exc:
+        candidates = [""]
+        outcome, logs = TestOutcome.test_failed(0), f"backend error: {exc}"
+        error_class = ErrorClass.OTHER
+    else:
+        candidates = [c.text for c in response.candidates]
+        outcome, logs = run_functional(candidates[0], pair, cfg)
+        error_class = None
     distance, exact = score_syntactic(
         candidates[0], pair.target.raw_text, pair.target_isa, raw, line_level
     )
 
     # beam 0 is reported unless a later beam passes
-    outcome, logs = run_functional(candidates[0], pair, cfg)
     chosen_index = 0
     if not outcome.is_pass:
         for index, text in enumerate(candidates[1:], start=1):
@@ -483,8 +470,7 @@ def evaluate_pair(
                 outcome, logs, chosen_index = later, later_logs, index
                 break
 
-    error_class = None
-    if not outcome.is_pass:
+    if not outcome.is_pass and error_class is None:
         unit = parse_assembly(candidates[chosen_index], pair.target_isa)
         error_class = classify_error(outcome, logs, unit)
 

@@ -14,16 +14,13 @@ class _SafeMap(dict):
         return "{" + key + "}"
 
 
-def data_dir() -> str:
-    """Filesystem path of the shipped package data (start stubs, role tables)."""
-    return str(Path(__file__).resolve().parent / "data")
+# filesystem path of the shipped package data (start stubs, role tables)
+DATA_DIR = str(Path(__file__).resolve().parent / "data")
 
 
 def render_command(template: str, mapping: dict[str, str]) -> list[str]:
     """Split a command template and substitute {placeholder} tokens."""
-    filled = _SafeMap(mapping)
-    filled.setdefault("python", sys.executable)
-    filled.setdefault("data", data_dir())
+    filled = _SafeMap({"python": sys.executable, "data": DATA_DIR, **mapping})
     return [tok.format_map(filled) for tok in shlex.split(template)]
 
 

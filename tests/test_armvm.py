@@ -10,7 +10,7 @@ import pytest
 from conftest import armenc, needs_lite
 from armenc import SVC0, bx, dp, mem, mov, mul, pop, push  # loaded by conftest
 from xisa import armvm
-from xisa.toolrun import data_dir
+from xisa.toolrun import DATA_DIR
 
 CLANG_ARM = ["clang", "--target=armv5te-linux-gnueabi"]
 
@@ -22,7 +22,7 @@ def build(tmp_path: Path, asm_text: str) -> Path:
     prog_obj = tmp_path / "prog.o"
     binary = tmp_path / "prog"
     subprocess.run(
-        [*CLANG_ARM, "-c", f"{data_dir()}/start_armv5.s", "-o", str(start_obj)],
+        [*CLANG_ARM, "-c", f"{DATA_DIR}/start_armv5.s", "-o", str(start_obj)],
         check=True,
     )
     subprocess.run([*CLANG_ARM, "-c", str(src), "-o", str(prog_obj)], check=True)
@@ -251,7 +251,7 @@ def test_clang_compiled_program_runs(tmp_path):
     )
     start_obj = tmp_path / "start.o"
     subprocess.run(
-        [*CLANG_ARM, "-c", f"{data_dir()}/start_armv5.s", "-o", str(start_obj)],
+        [*CLANG_ARM, "-c", f"{DATA_DIR}/start_armv5.s", "-o", str(start_obj)],
         check=True,
     )
     binary = tmp_path / "t"
@@ -285,7 +285,7 @@ def test_differential_against_native_execution(tmp_path):
 
     start_obj = tmp_path / "start.o"
     subprocess.run(
-        [*CLANG_ARM, "-c", f"{data_dir()}/start_armv5.s", "-o", str(start_obj)],
+        [*CLANG_ARM, "-c", f"{DATA_DIR}/start_armv5.s", "-o", str(start_obj)],
         check=True,
     )
     for i in range(12):

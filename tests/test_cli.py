@@ -438,6 +438,11 @@ EXIT_2_CASES = {
     "eval_run_out_under_a_file": [
         "eval", "run", "--suite", str(FIXTURES / "mini_suite"), "--backend", "replay",
         "--target", "x86_64", "--config", "{d}/mark.cfg", "--out", "{d}/plain/r.ndjson"],
+    "eval_run_unreachable_backend": pytest.param(
+        ["eval", "run", "--suite", str(FIXTURES / "mini_suite"), "--backend", "remote",
+         "--endpoint", "http://127.0.0.1:9", "--target", "x86_64", "--config", LITE,
+         "--out", "{d}/r.ndjson"],
+        marks=needs_gcc),
     "transpile_out_under_a_file": [
         "transpile", "--in", "{d}/f.s", "--backend", "identity", "--target", "x86_64",
         "--out", "{d}/plain/out.s"],

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from conftest import CONFIGS, FIXTURES, X86_PROFILES, needs_gcc, needs_lite
 from xisa import evaluation, toolrun
 from xisa.asmtext import parse_assembly
-from xisa.backends import Backend, Candidate, IdentityBackend, ReplayBackend
+from xisa.backends import Backend, Candidate, IdentityBackend, RemoteBackend, ReplayBackend
 from xisa.core import GenerationParams, IsaName, parse_config
 from xisa.dataset import AsmSide, TranspilePair, compile_pair, load_eval_suite
-from xisa.errors import MismatchedSuites, ToolchainError
+from xisa.errors import BackendUnavailable, MismatchedSuites, ToolchainError
 from xisa.evaluation import (
     ErrorClass,
     EvalResult,
@@ -896,7 +896,7 @@ def test_later_driver_step_fails_before_the_candidate_assembles_gcc_only(
 ):
     pair = next(p for p in mini_pairs_x86 if "sum_upto" in p.pair_id)
     cfg = parse_config(SPLIT_DRIVER_PROFILE)
-    # the whole driver build runs at its first step, ahead of the candidate
+    # the whole driver build runs before any other step
     with pytest.raises(ToolchainError, match="test-driver build failed"):
         run_functional(X86_SUM_UPTO_UNASSEMBLABLE, pair, cfg)
     assert commands[FAILING_DRIVER_STEP] == 1
@@ -938,8 +938,14 @@ PY_SEGV = '{python} -c "import os, signal; os.kill(os.getpid(), signal.SIGSEGV)"
 PY_SLEEP = '{python} -c "import time; time.sleep(30)"'  # killed at the 1 s timeout
 
 
-def _python_profile(driver=PY_OK, candidate=PY_OK, link=PY_OK, emulate=PY_OK):
-    """An x86_64 profile whose four step roles each run one Python command."""
+def _python_profile(
+    driver=PY_OK, candidate=PY_OK, link=PY_OK, emulate=PY_OK, candidate_first=False
+):
+    """An x86_64 profile whose four step roles each run one Python command,
+    the driver step listed first unless ``candidate_first``."""
+    steps = [f"{driver} {{test_src}}", f"{candidate} {{candidate}}"]
+    if candidate_first:
+        steps.reverse()
     return parse_config(f"""
 [global]
 timeout_compile = 1
@@ -947,8 +953,8 @@ timeout_run = 1
 
 [x86_64]
 assemble_link =
-    {driver} {{test_src}}
-    {candidate} {{candidate}}
+    {steps[0]}
+    {steps[1]}
     {link} {{output}}
 emulate = {emulate} {{input}}
 """)
@@ -992,6 +998,39 @@ def test_step_outcome_table_infrastructure_faults(python_pair, role, command, ma
         run_functional("", python_pair, _python_profile(**{role: command}))
     if role == "driver":  # a failed driver build is never cached
         assert build_driver.cache_info().currsize == 0
+
+
+def test_driver_build_runs_before_a_candidate_step_listed_first(python_pair):
+    cfg = _python_profile(driver=PY_EXIT_1, candidate=PY_EXIT_1, candidate_first=True)
+    with pytest.raises(ToolchainError, match="test-driver build failed"):
+        run_functional("", python_pair, cfg)
+
+
+def test_driver_lines_open_the_logs(python_pair):
+    outcome, logs = run_functional("", python_pair, _python_profile(candidate_first=True))
+    assert outcome.is_pass
+    assert logs.split("\n") == [
+        f"$ {PY_OK} {{test_src}}",
+        f"$ {PY_OK} {{candidate}}",
+        f"$ {PY_OK} {{output}}",
+        f"$ {PY_OK} {{input}}",
+    ]
+
+
+def test_backend_refusal_scores_an_empty_beam_0(python_pair):
+    [result], _ = evaluate_suite(
+        [python_pair], ReplayBackend([]), GenerationParams(), _python_profile()
+    )
+    assert result.outcome == TestOutcome.test_failed(0)
+    assert result.error_class is ErrorClass.OTHER
+    assert result.candidate_index_used == 0
+    assert result.logs == "backend error: replay: unknown source text"
+
+
+def test_unreachable_backend_is_an_infrastructure_error(python_pair):
+    backend = RemoteBackend("http://127.0.0.1:9", max_retries=2, timeout_s=0.2)
+    with pytest.raises(BackendUnavailable):
+        evaluate_suite([python_pair], backend, GenerationParams(), _python_profile())
 
 
 @needs_lite
