@@ -115,33 +115,23 @@ def _squeeze(text: str) -> str:
     return " ".join(text.split())
 
 
-def _unquoted(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (index, char) for each character outside double-quoted strings.
+# a double-quoted string, quotes included: inside it a backslash escapes the
+# next character, as GNU as reads it, and an unterminated string runs to the end
+_STRING = r'"(?:[^"\\]|\\.)*(?:"|\\?\Z)'
+_OPERAND_TOKEN_RE = re.compile(rf"(?s){_STRING}|[,()\[\]{{}}]")
+_DEPTH = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
-    The quotes belong to the string, and inside it a backslash escapes the
-    next character, as GNU as reads it.  An unterminated string runs to the
-    end of the text.
-    """
-    in_quote = escaped = False
-    for i, ch in enumerate(text):
-        if in_quote:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_quote = False
-        elif ch == '"':
-            in_quote = True
-        else:
-            yield i, ch
+
+@functools.cache
+def _comment_re(leaders: tuple[str, ...]) -> re.Pattern[str]:
+    return re.compile("(?s)" + "|".join([_STRING, *map(re.escape, leaders)]))
 
 
 def _strip_comment(text: str, leaders: tuple[str, ...]) -> tuple[str, bool]:
     """Remove a trailing line comment.  Returns (code part, had_comment)."""
-    for i, _ in _unquoted(text):
-        if text.startswith(leaders, i):
-            return text[:i], True
+    for m in _comment_re(leaders).finditer(text):
+        if m[0][0] != '"':  # the first leader outside a string
+            return text[: m.start()], True
     return text, False
 
 
@@ -149,14 +139,12 @@ def _split_operands(text: str) -> list[str]:
     """Split on top-level commas, respecting (), [], {} and quotes."""
     parts: list[str] = []
     depth = start = 0
-    for i, ch in _unquoted(text):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i].strip())
-            start = i + 1
+    for m in _OPERAND_TOKEN_RE.finditer(text):
+        if m[0] != ",":
+            depth += _DEPTH.get(m[0], 0)  # a string moves no depth
+        elif depth == 0:
+            parts.append(text[start : m.start()].strip())
+            start = m.end()
     parts.append(text[start:].strip())
     return parts
 
@@ -307,23 +295,36 @@ _OPERAND_PARSERS = {
 }
 
 
-def _parse_instruction(code: str, isa: Isa) -> tuple[Instruction, bool]:
-    """Parse one instruction line, its whitespace already collapsed.
-    Returns (instruction, had_fallback)."""
-    mnemonic, _, rest = code.partition(" ")
-    operand_parser = _OPERAND_PARSERS[isa.syntax_family]
-    operands: list[Operand] = []
-    fallback = False
-    if rest:
-        for raw in _split_operands(rest):
-            op = operand_parser(raw, isa)
-            operands.append(op)
-            if not op.recognized:
-                fallback = True
-    label_refs = frozenset(
-        op.text for op in operands if op.kind is OperandKind.LABEL_REF
-    )
-    return Instruction(mnemonic.lower(), tuple(operands), label_refs), fallback
+def _scan(
+    text: str, isa: Isa | IsaName | str
+) -> Iterator[tuple[LineKind, str, list[str] | str | None]]:
+    """Every text rule of parsing, one line of ``text`` at a time.
+
+    Yields (kind, normalized text, detail): ``detail`` is an instruction's
+    operand texts, a bare label's name, or None.
+    """
+    leaders = (isa if isinstance(isa, Isa) else get_isa(isa)).comment_leaders
+    for raw in text.splitlines():
+        code, had_comment = _strip_comment(raw, leaders)
+        code = _squeeze(code)  # every rule below reads collapsed whitespace
+        if not code:
+            if had_comment:
+                yield LineKind.COMMENT, _squeeze(raw), None
+            else:
+                yield LineKind.BLANK, "", None
+            continue
+        label_match = _LABEL_RE.match(code)
+        if label_match:  # with trailing code on its line, a label has no name
+            yield LineKind.LABEL, code, None if label_match.group(2) else label_match.group(1)
+        elif code.startswith("."):
+            yield LineKind.DIRECTIVE, code, None
+        else:
+            mnemonic, _, rest = code.partition(" ")
+            if rest:
+                operands = _split_operands(rest)
+                yield LineKind.INSTRUCTION, f"{mnemonic.lower()} {', '.join(operands)}", operands
+            else:
+                yield LineKind.INSTRUCTION, mnemonic.lower(), []
 
 
 _FUNC_TYPE_RE = re.compile(
@@ -336,50 +337,36 @@ def parse_assembly(
 ) -> AssemblyUnit:
     """Parse assembly text into a structured unit.  Never raises on content."""
     isa_obj = isa if isinstance(isa, Isa) else get_isa(isa)
+    operand_parser = _OPERAND_PARSERS[isa_obj.syntax_family]
     lines: list[Line] = []
     fallbacks = 0
     pending_functions: list[tuple[str, int]] = []  # (name, start index)
     spans: list[FunctionSpan] = []
-    declared: dict[str, int] = {}  # .type name,@function seen, awaiting label
+    declared: set[str] = set()  # .type name,@function seen, awaiting label
 
-    for raw in text.splitlines():
-        code, had_comment = _strip_comment(raw, isa_obj.comment_leaders)
-        idx = len(lines)
-        if not code.strip():
-            kind = LineKind.COMMENT if had_comment else LineKind.BLANK
-            normalized = _squeeze(raw) if had_comment else ""
-            lines.append(Line(kind, normalized))
-            continue
-        code = _squeeze(code)  # every rule below reads collapsed whitespace
-        label_match = _LABEL_RE.match(code)
-        if label_match and not label_match.group(2):
-            name = label_match.group(1)
-            lines.append(Line(LineKind.LABEL, f"{name}:"))
-            if name in declared:
+    for idx, (kind, normalized, detail) in enumerate(_scan(text, isa_obj)):
+        insn = None
+        if kind is LineKind.INSTRUCTION:
+            operands = tuple(operand_parser(raw, isa_obj) for raw in detail)
+            fallbacks += not all(op.recognized for op in operands)
+            label_refs = frozenset(
+                op.text for op in operands if op.kind is OperandKind.LABEL_REF
+            )
+            insn = Instruction(normalized.partition(" ")[0], operands, label_refs)
+        elif kind is LineKind.LABEL:
+            if detail is None:  # label with trailing code: text kept, gap flagged
+                fallbacks += 1
+            elif detail in declared:
                 if pending_functions:
                     prev_name, prev_start = pending_functions.pop()
                     spans.append(FunctionSpan(prev_name, prev_start, idx))
-                pending_functions.append((name, idx))
-                del declared[name]
-            continue
-        if label_match:
-            # label with trailing code on the same line: keep text, flag gap
-            lines.append(Line(LineKind.LABEL, code))
-            fallbacks += 1
-            continue
-        if code.startswith("."):
-            lines.append(Line(LineKind.DIRECTIVE, code))
-            type_match = _FUNC_TYPE_RE.match(code)
+                pending_functions.append((detail, idx))
+                declared.remove(detail)
+        elif kind is LineKind.DIRECTIVE:
+            type_match = _FUNC_TYPE_RE.match(normalized)
             if type_match:
-                declared[type_match.group(1)] = idx
-            continue
-        insn, had_fallback = _parse_instruction(code, isa_obj)
-        if had_fallback:
-            fallbacks += 1
-        rendered = insn.mnemonic
-        if insn.operands:
-            rendered += " " + ", ".join(op.text for op in insn.operands)
-        lines.append(Line(LineKind.INSTRUCTION, rendered, insn))
+                declared.add(type_match.group(1))
+        lines.append(Line(kind, normalized, insn))
 
     if pending_functions:
         name, start = pending_functions.pop()
@@ -399,21 +386,32 @@ def parse_assembly(
 VOLATILE_DIRECTIVES = frozenset({".file", ".ident"})
 
 
-def normalize(unit: AssemblyUnit, raw: bool = False) -> str:
+def normalize(
+    source: AssemblyUnit | str, raw: bool = False, isa: Isa | IsaName | str | None = None
+) -> str:
     """Deterministic text for edit distance / exact match.
 
     Comments stripped, blank lines dropped, whitespace canonicalized, volatile
     directives (.file/.ident) removed.  Labels, other directives and
     instruction text survive byte-for-byte after whitespace canonicalization.
     ``raw`` keeps every line; only whitespace is canonicalized.
+
+    ``source`` is a parsed unit, or a text with its ``isa``.  A text gives
+    what its parsed unit would, rendered straight from the line scanner
+    without building the unit.
     """
-    out: list[str] = []
-    for line in unit.lines:
-        if raw or line.kind is LineKind.INSTRUCTION or line.kind is LineKind.LABEL:
-            out.append(line.text_normalized)
-        elif line.kind is LineKind.DIRECTIVE:
-            if line.text_normalized.split(None, 1)[0] not in VOLATILE_DIRECTIVES:
-                out.append(line.text_normalized)
+    if isinstance(source, AssemblyUnit):
+        lines = ((line.kind, line.text_normalized) for line in source.lines)
+    else:
+        lines = (line[:2] for line in _scan(source, isa))
+    out = [
+        text
+        for kind, text in lines
+        if raw
+        or kind is LineKind.INSTRUCTION
+        or kind is LineKind.LABEL
+        or (kind is LineKind.DIRECTIVE and text.split(None, 1)[0] not in VOLATILE_DIRECTIVES)
+    ]
     if not out:
         return ""
     return "\n".join(out) + "\n"

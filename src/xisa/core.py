@@ -104,7 +104,7 @@ _REGISTRY: dict[IsaName, Isa] = {
     IsaName.X86_64: Isa(
         name=IsaName.X86_64,
         syntax_family=SyntaxFamily.ATT,
-        comment_leaders=("#", ";"),
+        comment_leaders=("#",),
         registers=MappingProxyType(_x86_registers()),
         branch_mnemonics=frozenset(
             {"jmp", "call", "ret"}
@@ -120,7 +120,7 @@ _REGISTRY: dict[IsaName, Isa] = {
     IsaName.ARMV5: Isa(
         name=IsaName.ARMV5,
         syntax_family=SyntaxFamily.ARM_UAL,
-        comment_leaders=("@", "//", ";"),
+        comment_leaders=("@", "//"),
         registers=MappingProxyType(_armv5_registers()),
         branch_mnemonics=frozenset(
             {"b", "bl", "bx", "blx"} | {"b" + cc for cc in _ARM_CONDITIONS}
@@ -129,7 +129,7 @@ _REGISTRY: dict[IsaName, Isa] = {
     IsaName.ARMV8: Isa(
         name=IsaName.ARMV8,
         syntax_family=SyntaxFamily.ARM_UAL,
-        comment_leaders=("//", "@", ";"),
+        comment_leaders=("//", "@"),
         registers=MappingProxyType(_armv8_registers()),
         branch_mnemonics=frozenset(
             {"b", "bl", "br", "blr", "ret", "cbz", "cbnz", "tbz", "tbnz"}
@@ -139,7 +139,7 @@ _REGISTRY: dict[IsaName, Isa] = {
     IsaName.RISCV64: Isa(
         name=IsaName.RISCV64,
         syntax_family=SyntaxFamily.RISCV_STD,
-        comment_leaders=("#", ";"),
+        comment_leaders=("#",),
         registers=MappingProxyType(_riscv_registers()),
         branch_mnemonics=frozenset(
             {

@@ -199,8 +199,8 @@ def score_syntactic(
     over normalized lines as atoms instead (reported separately, never mixed).
     """
     isa_name = IsaName(isa)
-    cand_norm = normalize(parse_assembly(candidate, isa_name), raw)
-    truth_norm = normalize(parse_assembly(ground_truth, isa_name), raw)
+    cand_norm = normalize(candidate, raw, isa_name)
+    truth_norm = normalize(ground_truth, raw, isa_name)
     if line_level:
         distance = levenshtein(cand_norm.splitlines(), truth_norm.splitlines())
     else:

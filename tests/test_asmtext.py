@@ -8,6 +8,8 @@ from xisa.asmtext import (
     LineKind,
     OperandKind,
     RegisterProfile,
+    _split_operands,
+    _strip_comment,
     canonical_register,
     load_role_table,
     normalize,
@@ -193,6 +195,11 @@ SCANNER_CASES = {
         "mov r0, r1, lsl #2", ["r0", "r1", "lsl #2"], 0),
     "comment_only_line_collapses": (
         IsaName.RISCV64, "  #\t  note  here ", LineKind.COMMENT, "# note here", [], 0),
+    "semicolon_separates_x86_statements": (
+        IsaName.X86_64, "\trep; movsb", LineKind.INSTRUCTION, "rep; movsb", ["movsb"], 0),
+    "semicolon_separates_arm_statements": (
+        IsaName.ARMV5, "\tmov r0, #1; mov r1, #2", LineKind.INSTRUCTION,
+        "mov r0, #1; mov r1, #2", ["r0", "#1; mov r1", "#2"], 0),
 }
 
 
@@ -212,6 +219,20 @@ def test_data_after_an_escaped_quote_is_scored():
     distance, exact = score_syntactic(
         '\t.string "x\\"; y"\n', '\t.string "x\\"; q"\n', IsaName.X86_64
     )
+    assert distance > 0 and not exact
+
+
+@pytest.mark.parametrize(
+    "candidate, truth, isa",
+    [
+        ("\trep; movsb\n", "\trep; stosb\n", IsaName.X86_64),
+        ("\tmov r0, #1; mov r1, #2\n", "\tmov r0, #1; mov r1, #3\n", IsaName.ARMV5),
+    ],
+    ids=["x86_64", "armv5"],
+)
+def test_statement_after_a_semicolon_is_scored(candidate, truth, isa):
+    # GNU as reads ``;`` as a statement separator, never as a comment leader
+    distance, exact = score_syntactic(candidate, truth, isa)
     assert distance > 0 and not exact
 
 
@@ -648,3 +669,84 @@ def _edited_corpus_line(draw):
 @example(line="\tldr\tr3, [fp, #08]")
 def test_parse_never_raises_on_edited_corpus_lines(line):
     parse_assembly(line, IsaName.ARMV5)
+
+
+# --- the line scanner against its per-character reference --------------------
+
+def _unquoted(text):
+    """Yield (index, char) for each character outside double-quoted strings.
+
+    The quotes belong to the string, and inside it a backslash escapes the
+    next character, as GNU as reads it.  An unterminated string runs to the
+    end of the text.
+    """
+    in_quote = escaped = False
+    for i, ch in enumerate(text):
+        if in_quote:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_quote = False
+        elif ch == '"':
+            in_quote = True
+        else:
+            yield i, ch
+
+
+def reference_strip_comment(text, leaders):
+    for i, _ in _unquoted(text):
+        if text.startswith(leaders, i):
+            return text[:i], True
+    return text, False
+
+
+def reference_split_operands(text):
+    parts = []
+    depth = start = 0
+    for i, ch in _unquoted(text):
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i].strip())
+            start = i + 1
+    parts.append(text[start:].strip())
+    return parts
+
+
+_ALL_ISAS = list(IsaName)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    text=st.text(alphabet='ar0 \t,"\\()[]{}#@/;', max_size=40),
+    leaders=st.sampled_from([get_isa(isa).comment_leaders for isa in _ALL_ISAS]),
+)
+@example(text='a"b\\', leaders=("#",))
+@example(text='x "a\\"# b" // c', leaders=("//", "@"))
+def test_scanners_match_the_per_character_reference(text, leaders):
+    assert _strip_comment(text, leaders) == reference_strip_comment(text, leaders)
+    assert _split_operands(text) == reference_split_operands(text)
+
+
+_ASM_LINES = st.one_of(
+    st.text(alphabet='abcmovlr0x1_.,#[]{}%$()@;:!/-"\\ \t', max_size=40),
+    st.sampled_from([
+        '\t.file "a.c"', '\t.ident "GCC"', "\t.type f, %function", "f:", ".L2: mov r0, r1",
+        "\tmovl $1, %eax # c", "\tldr r1, [fp, #-8] @ c", "\tld a0, 8(sp)", "\t.string \"a#b\"",
+    ]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lines=st.lists(_ASM_LINES, max_size=8),
+    isa=st.sampled_from(_ALL_ISAS),
+    raw=st.booleans(),
+)
+def test_normalize_text_matches_its_parsed_unit(lines, isa, raw):
+    text = "\n".join(lines)
+    assert normalize(text, raw, isa) == normalize(parse_assembly(text, isa), raw)
