@@ -378,10 +378,11 @@ def _translate_instruction(fn: _FnTranslator, m: str, ops: tuple[Operand, ...]) 
 
 class RuleBackend(Backend):
     backend_id = "rule"
+    target_isa = IsaName.ARMV5  # the one ISA its rules emit
 
     def _generate(self, req: TranspileRequest) -> list[Candidate]:
-        if req.target_isa is not IsaName.ARMV5:
-            raise BackendRefused("rule backend only targets armv5")
+        if req.target_isa is not self.target_isa:
+            raise BackendRefused(f"rule backend only targets {self.target_isa.value}")
         unit = parse_assembly(req.source_text, IsaName.X86_64, source_id="rule-input")
         return [Candidate(rule_translate(unit))]
 
@@ -465,6 +466,13 @@ class RemoteBackend(Backend):
             f"no response from {url} after {self.max_retries} attempts: "
             f"{type(last_error).__name__}: {last_error}"
         )
+
+
+def check_target(name: str, target: IsaName) -> None:
+    """Raise ``ValueError`` where backend ``name`` can never emit ``target``:
+    a usage error, found before any pair compiles."""
+    if name == RuleBackend.backend_id and target is not RuleBackend.target_isa:
+        raise ValueError(f"rule backend only targets {RuleBackend.target_isa.value}")
 
 
 def make_backend(

@@ -24,11 +24,11 @@ from . import dataset as dataset_mod
 from . import evaluation as eval_mod
 from . import tokenizer as tok
 from .asmtext import parse_assembly
-from .backends import TranspileRequest, make_backend
+from .backends import TranspileRequest, check_target, make_backend
 from .core import GenerationParams, IsaName, ToolchainConfig, load_config
 from .core import atomic_write, read_records, write_records
 from .dataset import read_store
-from .errors import ConfigError, UnsupportedInstruction, XisaError
+from .errors import BackendRefused, ConfigError, XisaError
 from .segmenter import segment_unit
 from .tokenizer import load_vocab, save_vocab
 
@@ -158,6 +158,7 @@ def _cmd_tokenizer(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_transpile(args: argparse.Namespace, argv: list[str]) -> int:
     started = _now()
+    check_target(args.backend, IsaName(args.target))
     cfg = _load_cfg(args) if (args.config or os.environ.get("XISA_CONFIG")) else None
     source = Path(args.infile).read_text(encoding="utf-8")
     spec = _vocab_or_baseline(args.vocab)
@@ -175,7 +176,7 @@ def _cmd_transpile(args: argparse.Namespace, argv: list[str]) -> int:
                 source_text=source, target_isa=IsaName(args.target), params=params
             )
         )
-    except UnsupportedInstruction as exc:
+    except BackendRefused as exc:  # scored as the candidate's failure, as in eval
         print(f"transpile failed: {exc}", file=sys.stderr)
         return 1
     atomic_write(args.out, [response.candidates[0].text])
@@ -186,6 +187,7 @@ def _cmd_transpile(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
     started = _now()
+    check_target(args.backend, IsaName(args.target))
     cfg = _load_cfg(args)
     spec = _vocab_or_baseline(args.vocab)
     pairs = dataset_mod.load_eval_suite(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -492,14 +493,11 @@ def test_armenc_guests_exit_code_and_steps(tmp_path, seed):
     for guest in guests(seed):
         path = tmp_path / f"{guest.name}.elf"
         path.write_bytes(guest.image)
-        # twice the guest's length: a looping interpreter bug stops instead of hanging
-        budget = 2 * guest.instructions
+        # exactly the guest's length: one instruction fewer stops it short
+        budget = guest.instructions
         assert armvm.run(str(path), max_steps=budget) == guest.exit_code, guest.name
-        cpu = armvm.Cpu(*armvm.load_elf(str(path)))
-        with pytest.raises(armvm.GuestExit):
-            for _ in range(budget):
-                cpu.step()
-        assert cpu.steps == guest.instructions, guest.name
+        with pytest.raises(armvm.BudgetExhausted):
+            armvm.run(str(path), max_steps=budget - 1)
 
 
 def test_instruction_budget_kills_with_sigkill(tmp_path):
@@ -521,6 +519,53 @@ def test_instruction_budget_raises_in_process(tmp_path):
         armvm.run(str(path), max_steps=10)
 
 
+def test_negative_budget_is_an_input_error(tmp_path):
+    path = tmp_path / "exit.elf"
+    path.write_bytes(guests(0)[0].image)
+    mem, entry = armvm.load_elf(str(path))
+    cpu = armvm.Cpu(mem, entry)
+    with pytest.raises(ValueError, match="negative instruction budget -1"):
+        cpu.run(-1)
+    assert cpu.pc == entry  # nothing ran
+    proc = subprocess.run(
+        [sys.executable, "-m", "xisa.armvm", str(path), "--max-steps", "-1"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 125
+    assert proc.stderr == "armvm: negative instruction budget -1\n"
+
+
+def patched(image: bytes, fmt: str, offset: int, value: int) -> bytes:
+    data = bytearray(image)
+    struct.pack_into(fmt, data, offset, value)
+    return bytes(data)
+
+
+EXIT_IMAGE = guests(0)[0].image
+# e_phnum is the header's halfword at 44; the one program header starts at
+# 52, its p_offset at 56, p_filesz at 68 and p_memsz at 72
+MALFORMED_ELFS = {
+    "magic_only": (EXIT_IMAGE[:4], "ELF header truncated at 4 of 52 bytes"),
+    "8_byte_header": (EXIT_IMAGE[:8], "ELF header truncated at 8 of 52 bytes"),
+    "3_program_headers_claimed": (
+        patched(EXIT_IMAGE[:52], "<H", 44, 3), "program header table outside the file"),
+    "segment_past_the_end": (
+        patched(EXIT_IMAGE, "<I", 56, len(EXIT_IMAGE)), "segment 0 lies outside the file"),
+    "filesz_over_memsz": (
+        patched(EXIT_IMAGE, "<I", 72, 4), "segment 0 has p_filesz > p_memsz"),
+}
+
+
+@pytest.mark.parametrize("data,reason", MALFORMED_ELFS.values(), ids=MALFORMED_ELFS)
+def test_malformed_elf_is_an_input_error(tmp_path, capsys, data, reason):
+    path = tmp_path / "bad.elf"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=reason):
+        armvm.load_elf(str(path))
+    assert armvm.main([str(path)]) == 125
+    assert capsys.readouterr().err == f"armvm: {path}: {reason}\n"
+
+
 # --- single steps ---------------------------------------------------------------
 
 def step(word: int, regs: dict[int, int] | None = None, flags: str = "") -> armvm.Cpu:
@@ -530,7 +575,8 @@ def step(word: int, regs: dict[int, int] | None = None, flags: str = "") -> armv
     for reg, value in (regs or {}).items():
         cpu.regs[reg] = value
     cpu.n, cpu.z, cpu.c, cpu.v = (letter in flags for letter in "NZCV")
-    cpu.step()
+    with pytest.raises(armvm.BudgetExhausted):
+        cpu.run(1)
     return cpu
 
 
@@ -694,7 +740,8 @@ def image_cpu(*words: int) -> armvm.Cpu:
 def run_at(cpu: armvm.Cpu, addr: int, times: int = 1) -> None:
     for _ in range(times):
         cpu.pc = addr
-        cpu.step()
+        with pytest.raises(armvm.BudgetExhausted):
+            cpu.run(1)
 
 
 def cached_then_patched(cpu: armvm.Cpu, targets: list[int], store_at: int) -> None:
@@ -767,12 +814,8 @@ def stack_code_guest() -> list[int]:
 
 def test_code_on_the_stack_runs_patched(arm_elf):
     path = arm_elf(stack_code_guest())
-    cpu = armvm.Cpu(*armvm.load_elf(str(path)))
-    with pytest.raises(armvm.GuestExit) as exit_info:
-        while True:
-            cpu.step()
-    assert exit_info.value.code == 12
-    assert run_vm(path).returncode == 12  # the same through run's own loop
+    assert armvm.Cpu(*armvm.load_elf(str(path))).run() == 12
+    assert run_vm(path).returncode == 12
 
 
 CLZEQ = 0x016F0F11  # clzeq r0, r1: the miscellaneous space, undefined here
@@ -782,12 +825,12 @@ def test_conditional_undefined_word_faults_only_when_its_condition_passes():
     cpu = image_cpu(CLZEQ)
     cpu.z = False
     run_at(cpu, 0x10000, times=3)  # skipped, and cached from the second run
-    assert (cpu.steps, cpu.pc, cpu.regs[0]) == (3, 0x10004, 0)
+    assert (cpu.pc, cpu.regs[0]) == (0x10004, 0)
     assert 0x10000 in cpu.mem.code
     cpu.z = True
     with pytest.raises(armvm.UndefinedInstruction, match="0x016f0f11 at 0x00010000"):
         run_at(cpu, 0x10000)
-    assert cpu.steps == 4
+    assert cpu.pc == 0x10000  # the faulting instruction
 
 
 @pytest.mark.parametrize("stop_at,expected", [(100, 1), (1, -4)])

@@ -256,6 +256,23 @@ def test_transpile_unsupported_is_candidate_failure(tmp_path, capsys):
     assert "cvtsi2sd" in capsys.readouterr().err
 
 
+def test_transpile_context_overflow_is_candidate_failure(tmp_path, capsys):
+    # eval scores every refusal as the candidate's failure, so transpile exits 1
+    x86 = tmp_path / "f.s"
+    x86.write_text("\tnop\n" * 6000)
+    vocab = tmp_path / "vocab.ndjson"
+    vocab.write_text(json.dumps({**VOCAB, "entries": ["nop"]}) + "\n")
+    out = tmp_path / "out.s"
+    rc = main(
+        ["transpile", "--in", str(x86), "--backend", "identity", "--target", "x86_64",
+         "--vocab", str(vocab), "--out", str(out)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "transpile failed: source is 18000 tokens, exceeds context window 16384\n"
+    assert not out.exists()
+
+
 def test_segment_listing(tmp_path, capsys):
     asm = FIXTURES / "arm_corpus" / "sum_upto.s"
     rc = main(["segment", "--in", str(asm), "--isa", "armv5", "--budget", "1024"])
@@ -443,6 +460,12 @@ EXIT_2_CASES = {
          "--endpoint", "http://127.0.0.1:9", "--target", "x86_64", "--config", LITE,
          "--out", "{d}/r.ndjson"],
         marks=needs_gcc),
+    "eval_run_rule_backend_targets_only_armv5": [
+        "eval", "run", "--suite", str(FIXTURES / "rule_suite"), "--backend", "rule",
+        "--target", "x86_64", "--config", "{d}/mark.cfg", "--out", "{d}/r.ndjson"],
+    "transpile_rule_backend_targets_only_armv5": [
+        "transpile", "--in", "{d}/f.s", "--backend", "rule", "--target", "x86_64",
+        "--out", "{d}/out.s"],
     "transpile_out_under_a_file": [
         "transpile", "--in", "{d}/f.s", "--backend", "identity", "--target", "x86_64",
         "--out", "{d}/plain/out.s"],
