@@ -13,30 +13,38 @@ helpers, each written once: ConditionPassed (``_CONDITIONS``), DecodeImmShift
 and Shift_C (``_imm_shift``, ``_shift_c``) and AddWithCarry (the
 ``_ARITHMETIC`` operand selectors in ``_data_processing``).
 
-It is a predecoder, QEMU's translation cache at instruction granularity:
+It runs code in two tiers, after QEMU.  Cold code is predecoded:
 ``decode(word, pc)`` does the field extraction, the class dispatch and every
 undefined/UNPREDICTABLE check once, and returns the word's handler with the
-fields it reads.  The decoded form is cached by address in ``Memory.code``
-from the word's second fetch on, and ``Memory.store``, which every store
-goes through, drops the entry of every word it writes, so code that patches
-itself or runs from the stack stays correct.
+fields it reads, cached by address in ``Memory.code`` from the word's second
+fetch on.  Hot code is translated: on the ``HOT``-th jump to an address,
+``armblock.translate`` renders the basic block that starts there from those
+tuples into one Python function, cached in ``Memory.blocks``, which later
+jumps there call in place of one dispatch per instruction.  ``Memory.store``,
+which every store goes through, drops the decoded form of every word it
+writes and every translated block if one holds such a word, so code that
+patches itself or runs from the stack stays correct.
 
 Intended as the ``emulate`` command of toolchain profiles on machines without
 qemu-user; run as ``python -m xisa.armvm BINARY``.
 """
 from __future__ import annotations
 
-import argparse
-import itertools
 import os
 import signal
 import struct
 import sys
+from itertools import repeat
 
 STACK_TOP = 0x7FF0_0000
 STACK_SIZE = 1 << 20
+MAX_GAP = 1 << 20  # bytes between PT_LOAD segments; linkers leave under 64 KiB
 MASK32 = 0xFFFF_FFFF
 RRX = 4  # shift type beside LSL/LSR/ASR/ROR (0-3), as DecodeImmShift returns it
+# jumps to an address before the block there is translated: about where the
+# dispatch a block saves (0.3-0.4 us per instruction run) adds up to what
+# translating it costs (30-50 us per instruction)
+HOT = 128
 
 
 class GuestFault(Exception):
@@ -91,8 +99,9 @@ _SIZE_MASKS = (0, 0xFF, 0xFFFF, 0, MASK32)
 
 
 class Memory:
-    """Two flat regions, the loaded image and the stack, and ``code``: the
-    decoded forms of their words, by word address."""
+    """Two flat regions, the loaded image and the stack; ``code``, the
+    decoded forms of their words by word address; and ``blocks``, the
+    translated blocks (``armblock.translate``) by start address."""
 
     def __init__(self, image_base: int, image: bytearray):
         self.image_base = image_base
@@ -101,6 +110,10 @@ class Memory:
         self.stack = bytearray(STACK_SIZE)
         self.code: dict[int, Decoded] = {}
         self._fetched: set[int] = set()  # addresses fetched once, not cached
+        self.blocks: dict[int, tuple] = {}
+        self.arrivals: dict[int, int] = {}  # jumps to each address, untranslated
+        self.translated: set[int] = set()  # words inside ``blocks``
+        self.patched: set[int] = set()  # words whose decoded form a store dropped
 
     def _locate(self, addr: int, size: int) -> tuple[bytearray, int]:
         off = addr - self.image_base
@@ -132,16 +145,23 @@ class Memory:
 
     def store(self, addr: int, size: int, value: int) -> None:
         """Write the low ``size`` bytes of ``value``; every store form comes
-        here, so this is where a written word's cached decoded form is
-        dropped."""
+        here, so this is where a written word's decoded form is dropped,
+        and with it every translated block if one holds the word."""
         buf, off = self._locate(addr, size)
         _FORMATS[size].pack_into(buf, off, value & _SIZE_MASKS[size])
         code = self.code
         if code:
             first, last = addr & ~3, (addr + size - 1) & ~3
-            code.pop(first, None)
-            if last != first:  # an unaligned store straddles two words
-                code.pop(last, None)
+            if code.pop(first, None):
+                self._dropped(first)
+            if last != first and code.pop(last, None):  # an unaligned store straddles two words
+                self._dropped(last)
+
+    def _dropped(self, word: int) -> None:
+        self.patched.add(word)
+        if word in self.translated:
+            self.blocks.clear()
+            self.translated.clear()
 
     def bytes_at(self, addr: int, size: int) -> bytes:
         buf, off = self._locate(addr, size)
@@ -176,8 +196,11 @@ def load_elf(path: str) -> tuple[Memory, int]:
             segments.append((p_vaddr, p_offset, p_filesz, p_memsz))
     if not segments:
         raise ValueError(f"{path}: no loadable segments")
-    base = min(s[0] for s in segments)
-    top = max(s[0] + s[3] for s in segments)
+    base = top = min(s[0] for s in segments)
+    for vaddr, _offset, _filesz, memsz in sorted(segments):
+        if vaddr - top > MAX_GAP:  # one image spans the gap: refuse to allocate it
+            raise ValueError(f"{path}: {vaddr - top} bytes between loadable segments")
+        top = max(top, vaddr + memsz)
     image = bytearray(top - base)
     for vaddr, offset, filesz, _memsz in segments:
         image[vaddr - base : vaddr - base + filesz] = data[offset : offset + filesz]
@@ -598,17 +621,48 @@ class Cpu:
         """Execute from ``pc``; returns the guest exit code.  A fault, an
         exhausted budget of ``max_steps`` instructions included, propagates
         as ``GuestFault``; 0 means no budget.  ``pc`` is written back on
-        every way out: the faulting instruction, or the next one."""
+        every way out: the faulting instruction, or the next one.
+
+        Instructions run one at a time until a jump.  Where a jump lands
+        the loop runs the translated block that starts there, if it fits
+        in the budget left, and translates one on the ``HOT``-th landing."""
         if max_steps < 0:
             raise ValueError(f"negative instruction budget {max_steps}")
-        cached, fetch = self.mem.code.get, self.mem.fetch
+        mem = self.mem
+        cached, fetch, blocks, arrivals = mem.code.get, mem.fetch, mem.blocks, mem.arrivals
+        left = max_steps or sys.maxsize
         pc = self.pc
-        ticks = itertools.repeat(None, max_steps) if max_steps else itertools.repeat(None)
         try:
-            for _ in ticks:
-                decoded = cached(pc) or fetch(pc)
-                pc = decoded[0](self, decoded)
-            raise BudgetExhausted(max_steps)
+            while True:
+                block = blocks.get(pc)
+                if block is None:
+                    count = arrivals[pc] = arrivals.get(pc, 0) + 1
+                    if count >= HOT:
+                        from xisa import armblock
+                        block = blocks[pc] = armblock.translate(mem, pc)
+                if block is not None and block[0] <= left:
+                    try:
+                        pc = block[1](self)
+                    except BaseException as exc:
+                        from xisa import armblock
+                        pc, resumes = armblock.unwind(block, exc)
+                        if not resumes:
+                            raise
+                        left -= (pc - block[2]) >> 2
+                        continue
+                    left -= block[0]
+                    continue
+                start = pc
+                for _ in repeat(None, left):
+                    decoded = cached(pc) or fetch(pc)
+                    nxt = decoded[0](self, decoded)
+                    if nxt - pc != 4:
+                        break
+                    pc = nxt
+                else:
+                    raise BudgetExhausted(max_steps)
+                left -= ((pc - start) >> 2) + 1  # every step before the jump fell through
+                pc = nxt
         except GuestExit as exit_info:
             return exit_info.code
         finally:
@@ -620,16 +674,36 @@ def run(path: str, max_steps: int = 0) -> int:
     return Cpu(*load_elf(path)).run(max_steps)
 
 
+USAGE = "usage: xisa-armvm [--max-steps N] BINARY [GUEST_ARG ...]"
+
+
+def _parse_args(argv: list[str]) -> tuple[str, int]:
+    """``BINARY [GUEST_ARG ...]`` (ignored: guests take no argv) and
+    ``--max-steps N`` anywhere; ValueError on anything else."""
+    binary, max_steps, rest = None, 0, iter(argv)
+    for arg in rest:
+        if arg == "--max-steps" or arg.startswith("--max-steps="):
+            value = arg.partition("=")[2] if "=" in arg else next(rest, None)
+            if value is None:
+                raise ValueError("--max-steps needs a value")
+            max_steps = int(value)
+        elif arg.startswith("-"):
+            raise ValueError(f"unknown option {arg}")
+        elif binary is None:
+            binary = arg
+    if binary is None:
+        raise ValueError("missing BINARY")
+    return binary, max_steps
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="xisa-armvm", description="run a static ARMv5 ELF binary"
-    )
-    parser.add_argument("binary")
-    parser.add_argument("guest_args", nargs="*", help="ignored; guests take no argv")
-    parser.add_argument("--max-steps", type=int, default=0)
-    args = parser.parse_args(argv)
     try:
-        return run(args.binary, max_steps=args.max_steps)
+        binary, max_steps = _parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"{USAGE}\nxisa-armvm: error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return run(binary, max_steps=max_steps)
     except GuestFault as fault:
         print(f"armvm: {fault}", file=sys.stderr)
         sys.stderr.flush()
@@ -641,4 +715,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # ``armblock`` imports ``xisa.armvm``: let it find this module, not a copy
+    sys.modules["xisa.armvm"] = sys.modules[__name__]
     sys.exit(main())

@@ -4,6 +4,7 @@ import random
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -482,20 +483,31 @@ def test_write_syscall_encoded(arm_elf):
 
 # --- whole guests, in-process -------------------------------------------------
 
-def guests(seed: int) -> list:
+def guests(seed: int, iterations: int = 60) -> list:
     rng = random.Random(seed)
-    return [armenc.exit_guest(rng), armenc.loop_guest(rng, 60),
-            armenc.straight_guest(rng, 300), armenc.selfstore_guest(rng, 60)]
+    return [armenc.exit_guest(rng), armenc.loop_guest(rng, iterations),
+            armenc.straight_guest(rng, 300), armenc.selfstore_guest(rng, iterations)]
+
+
+# loop iterations that reach the translation threshold with room to spare
+HOT_ITERATIONS = armvm.HOT + 72
+
+
+def translated(mem: armvm.Memory) -> list[tuple]:
+    """The translated blocks of ``mem``, without the addresses left cold."""
+    return [block for block in mem.blocks.values() if block[1]]
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_armenc_guests_exit_code_and_steps(tmp_path, seed):
-    for guest in guests(seed):
+    for guest in guests(seed, HOT_ITERATIONS):
         path = tmp_path / f"{guest.name}.elf"
         path.write_bytes(guest.image)
         # exactly the guest's length: one instruction fewer stops it short
         budget = guest.instructions
-        assert armvm.run(str(path), max_steps=budget) == guest.exit_code, guest.name
+        cpu = armvm.Cpu(*armvm.load_elf(str(path)))
+        assert cpu.run(budget) == guest.exit_code, guest.name
+        assert bool(translated(cpu.mem)) == (guest.name in ("loop", "selfstore"))
         with pytest.raises(armvm.BudgetExhausted):
             armvm.run(str(path), max_steps=budget - 1)
 
@@ -796,16 +808,36 @@ def test_stm_patches_cached_words():
     assert (cpu.regs[0], cpu.regs[5]) == (13, 4)
 
 
-def stack_code_guest() -> list[int]:
-    """Copies ``add r0, r0, #1; bx lr`` below sp, calls it twice, patches
-    its add to ``#10`` and calls it once more: exits with 12."""
+def watch_stores(mem: armvm.Memory) -> list[set[int]]:
+    """Record, for each store into ``mem`` from now on, the words it writes
+    that a translated block held just before it."""
+    held = []
+    store = mem.store
+
+    def watched(addr: int, size: int, value: int) -> None:
+        written = {addr & ~3, (addr + size - 1) & ~3}
+        held.append({word for word in written if word in mem.translated})
+        store(addr, size, value)
+
+    mem.store = watched
+    return held
+
+
+def stack_code_guest(calls: int = HOT_ITERATIONS) -> list[int]:
+    """Copies ``add r0, r0, #1; bx lr`` below sp, calls it ``calls`` times
+    (enough to translate it), patches its add to ``#10`` and calls it once
+    more: exits with ``calls + 10``."""
     blx_r4 = bx(4) | 1 << 5
     p = armenc.Program()
     p.emit(dp("sub", 4, SP, ("#", 256)), mov(0, ("#", 0)))
     p.const(5, dp("add", 0, 0, ("#", 1)))
     p.emit(mem("str", 5, 4, 0))
     p.const(5, bx(LR))
-    p.emit(mem("str", 5, 4, 4), blx_r4, blx_r4)
+    p.emit(mem("str", 5, 4, 4))
+    p.const(6, calls)
+    p.label("call")
+    p.emit(blx_r4, dp("sub", 6, 6, ("#", 1), s=True))
+    p.branch("call", cond="ne")
     p.const(5, dp("add", 0, 0, ("#", 10)))
     p.emit(mem("str", 5, 4, 0), blx_r4)
     p.exit_with(0)
@@ -814,8 +846,12 @@ def stack_code_guest() -> list[int]:
 
 def test_code_on_the_stack_runs_patched(arm_elf):
     path = arm_elf(stack_code_guest())
-    assert armvm.Cpu(*armvm.load_elf(str(path))).run() == 12
-    assert run_vm(path).returncode == 12
+    cpu = armvm.Cpu(*armvm.load_elf(str(path)))
+    held = watch_stores(cpu.mem)
+    code_at = armvm.STACK_TOP - 64 - 256  # sp at entry, less 256
+    assert cpu.run() == HOT_ITERATIONS + 10
+    assert held[-1] == {code_at}  # the patch met the translated block
+    assert run_vm(path).returncode == HOT_ITERATIONS + 10
 
 
 CLZEQ = 0x016F0F11  # clzeq r0, r1: the miscellaneous space, undefined here
@@ -845,3 +881,280 @@ def test_conditional_undefined_word_in_a_guest(arm_elf, stop_at, expected):
     proc = run_vm(arm_elf(p.words()))
     assert proc.returncode == expected  # 1: exited; -4: SIGILL
     assert ("0x016f0f11" in proc.stderr) == (expected == -4)
+
+
+# --- translated blocks ----------------------------------------------------------
+
+def address(p: armenc.Program, label: str) -> int:
+    return armenc.BASE + 0x60 + 4 * p.labels[label]  # elf32 puts code at 0x60
+
+
+def conditional(word: int, cond: str) -> int:
+    return word & 0x0FFFFFFF | armenc.COND[cond] << 28
+
+
+def test_store_into_the_running_block_exits_it(arm_elf):
+    # the last iteration patches the add after its streq to add #100, and
+    # that add must run as patched
+    p = armenc.Program()
+    p.adr(7, "target")
+    p.const(6, dp("add", 2, 2, ("#", 100)))
+    p.const(5, HOT_ITERATIONS)
+    p.label("loop")
+    p.emit(dp("add", 1, 1, ("#", 1)), dp("cmp", 0, 5, ("#", 1)),
+           conditional(mem("str", 6, 7, 0), "eq"))
+    p.label("target")
+    p.emit(dp("add", 2, 2, ("#", 1)), dp("sub", 5, 5, ("#", 1), s=True))
+    p.branch("loop", cond="ne")
+    p.exit_with(2)
+    cpu = armvm.Cpu(*armvm.load_elf(str(arm_elf(p.words()))))
+    held = watch_stores(cpu.mem)
+    cpu.run()
+    assert held == [{address(p, "target")}]
+    assert (cpu.regs[1], cpu.regs[2]) == (HOT_ITERATIONS, HOT_ITERATIONS - 1 + 100)
+
+
+def test_store_into_a_block_that_is_not_running(arm_elf):
+    # with r5 == 2 the loop patches bump's add to add #100; the last call,
+    # a new arrival at bump's block, must run it as patched
+    p = armenc.Program()
+    p.adr(7, "bump")
+    p.const(6, dp("add", 2, 2, ("#", 100)))
+    p.const(5, HOT_ITERATIONS)
+    p.label("loop")
+    p.branch("bump", link=True)
+    p.emit(dp("cmp", 0, 5, ("#", 2)), conditional(mem("str", 6, 7, 0), "eq"),
+           dp("sub", 5, 5, ("#", 1), s=True))
+    p.branch("loop", cond="ne")
+    p.exit_with(2)
+    p.label("bump")
+    p.emit(dp("add", 2, 2, ("#", 1)), bx(LR))
+    cpu = armvm.Cpu(*armvm.load_elf(str(arm_elf(p.words()))))
+    held = watch_stores(cpu.mem)
+    cpu.run()
+    assert held == [{address(p, "bump")}]
+    assert cpu.regs[2] == HOT_ITERATIONS - 1 + 100
+
+
+def test_unaligned_strh_patches_two_translated_blocks(arm_elf):
+    # the last iteration's strheq writes byte 3 of "branch" (bne -> beq) and
+    # byte 0 of "after" (its immediate, 5 -> 9), the first word of the block
+    # that "detour" jumps back to; the patched beq is taken, so every
+    # iteration passes through "detour"
+    p = armenc.Program()
+    p.adr(7, "branch")
+    p.emit(dp("add", 7, 7, ("#", 3)))
+    p.const(6, 0x090A)
+    p.const(5, HOT_ITERATIONS)
+    p.label("loop")
+    p.emit(dp("add", 1, 1, ("#", 1)), dp("cmp", 0, 5, ("#", 1)),
+           conditional(mem("strh", 6, 7, 0), "eq"))
+    p.label("branch")
+    p.branch("detour", cond="ne")
+    p.label("after")
+    p.emit(mov(2, ("#", 5)), dp("add", 3, 3, 2), dp("sub", 5, 5, ("#", 1), s=True))
+    p.branch("loop", cond="ne")
+    p.exit_with(3)
+    p.label("detour")
+    p.emit(dp("add", 4, 4, ("#", 1)))
+    p.branch("after")
+    cpu = armvm.Cpu(*armvm.load_elf(str(arm_elf(p.words()))))
+    held = watch_stores(cpu.mem)
+    cpu.run()
+    assert held == [{address(p, "branch"), address(p, "after")}]
+    assert (cpu.regs[3], cpu.regs[4]) == (5 * (HOT_ITERATIONS - 1) + 9, HOT_ITERATIONS)
+
+
+def test_memory_with_blocks_is_freed_with_its_last_reference(tmp_path):
+    # a block function that referred back to its Memory or to the dict that
+    # holds it would be kept, with the 1 MB stack it binds, until the cyclic
+    # garbage collector ran
+    path = tmp_path / "loop.elf"
+    path.write_bytes(guests(0, HOT_ITERATIONS)[1].image)
+    cpu = armvm.Cpu(*armvm.load_elf(str(path)))
+    cpu.run()
+    kept = [weakref.ref(cpu.mem), *(weakref.ref(block[1]) for block in translated(cpu.mem))]
+    assert len(kept) > 1
+    del cpu
+    assert [ref() for ref in kept] == [None] * len(kept)
+
+
+def run_stepped(cpu: armvm.Cpu):
+    """Run ``cpu`` one instruction per ``run`` call, so that only blocks of
+    a single jump run translated: the exit code, or the fault's type and
+    message."""
+    while True:
+        try:
+            return cpu.run(1)
+        except armvm.BudgetExhausted:
+            continue
+        except armvm.GuestFault as fault:
+            return type(fault), str(fault)
+
+
+def run_whole(cpu: armvm.Cpu):
+    try:
+        return cpu.run(10**6)
+    except armvm.GuestFault as fault:
+        return type(fault), str(fault)
+
+
+def state(cpu: armvm.Cpu) -> tuple:
+    return (cpu.regs, nzcv(cpu), cpu.pc, cpu.mem.image, cpu.mem.stack)
+
+
+def test_fault_inside_a_block_leaves_pc_at_the_faulting_load(arm_elf):
+    # the last iteration points r6 at unmapped 0x40 before the ldr
+    p = armenc.Program()
+    p.adr(6, "data")
+    p.const(5, HOT_ITERATIONS)
+    p.label("loop")
+    p.emit(dp("add", 1, 1, ("#", 1)), dp("cmp", 0, 5, ("#", 1)),
+           mov(6, ("#", 0x40), cond="eq"))
+    p.label("load")
+    p.emit(mem("ldr", 0, 6, 0), dp("add", 2, 2, 0), dp("sub", 5, 5, ("#", 1), s=True))
+    p.branch("loop", cond="ne")
+    p.exit_with(2)
+    p.label("data")
+    p.emit(7)
+    path = arm_elf(p.words())
+    whole, stepped = (armvm.Cpu(*armvm.load_elf(str(path))) for _ in range(2))
+    fault = (armvm.MemoryFault, "Invalid memory access at 0x00000040")
+    assert run_whole(whole) == run_stepped(stepped) == fault
+    assert whole.pc == address(p, "load") and address(p, "load") in whole.mem.translated
+    assert (whole.regs[1], whole.regs[2]) == (HOT_ITERATIONS, 7 * (HOT_ITERATIONS - 1))
+    assert state(whole) == state(stepped)
+    proc = run_vm(path)
+    assert (proc.returncode, proc.stderr) == (-11, "armvm: " + fault[1] + "\n")
+
+
+FREE = (0, 1, 2, 3, 4, 6, 7, 9, 10, 12)  # r5 counts, r8 holds "data", r11 = sp
+
+
+def random_op(rng: random.Random, p: armenc.Program) -> None:
+    """One random instruction (two for push/pop, or a skip) of every
+    rendered form, with random conditions, plus umull, which ends a block."""
+    cond = rng.choice(list(armenc.COND)) if rng.random() < 0.3 else "al"
+    rd, rn, rm, rs = (rng.choice(FREE) for _ in range(4))
+    kind = rng.randrange(10)
+    if kind < 4:
+        op = rng.choice(list(armenc.DP))
+        flags = rng.random() < 0.5
+        if rng.random() < 0.4:
+            imm = rng.randrange(256) << 2 * rng.randrange(12)
+            p.emit(dp(op, rd, rn, ("#", imm), s=flags, cond=cond))
+        elif rng.random() < 0.3:  # shifted by a register
+            shift = rs << 8 | rng.randrange(4) << 5 | 1 << 4
+            p.emit(dp(op, rd, rn, rm, s=flags, cond=cond) | shift)
+        else:
+            shift = (rng.choice(list(armenc.SHIFT)), rng.randrange(32))
+            p.emit(dp(op, rd, rng.choice((rn, PC)), rm, shift, s=flags, cond=cond))
+    elif kind == 4:
+        word = mul(rd, rm, rs) | rng.choice((0, 1 << 21 | rn << 12)) | rng.choice((0, 1 << 20))
+        p.emit(conditional(word, cond))
+    elif kind < 7:
+        op = rng.choice(["ldr", "str", "ldrb", "strb", "ldrh", "strh", "ldrsb", "ldrsh"])
+        base = rng.choice((SP, FP, 8))
+        offset = 4 * rng.randrange(1, 12) if op in ("ldr", "str") else rng.randrange(1, 48)
+        word = mem(op if op[-2:] != "sb" and op[-2:] != "sh" else "ldrh", rd, base,
+                   offset if base == 8 else -offset)
+        if op in ("ldrsb", "ldrsh"):  # sh field 2 and 3 beside ldrh's 1
+            word = word & ~0x60 | (0x40 if op == "ldrsb" else 0x60)
+        p.emit(conditional(word, cond))
+    elif kind == 7:
+        regs = sorted(rng.sample(FREE, rng.randrange(1, 4)))
+        p.emit(push(regs), pop(regs))
+    elif kind == 8:
+        label = f"skip{len(p)}"
+        p.branch(label, cond=rng.choice(list(armenc.COND)))
+        p.emit(dp("add", rd, rd, ("#", 1)))
+        p.label(label)
+    else:
+        rdlo, rdhi = rng.sample(FREE, 2)
+        p.emit(0xE0800090 | rdhi << 16 | rdlo << 12 | rs << 8 | rm)  # umull
+
+
+def random_loop(rng: random.Random) -> list[int]:
+    p = armenc.Program()
+    p.adr(8, "data")
+    for reg in FREE:
+        p.const(reg, rng.randrange(1 << 32))
+    p.emit(mov(FP, SP))
+    p.const(5, HOT_ITERATIONS)
+    p.label("loop")
+    for _ in range(rng.randrange(3, 25)):
+        random_op(rng, p)
+    p.emit(dp("sub", 5, 5, ("#", 1), s=True))
+    p.branch("loop", cond="ne")
+    p.exit_with(0)
+    p.label("data")
+    p.emit(*(rng.randrange(1 << 32) for _ in range(16)))
+    return p.words()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_translated_blocks_match_single_steps(arm_elf, seed):
+    path = arm_elf(random_loop(random.Random(seed)))
+    whole, stepped = (armvm.Cpu(*armvm.load_elf(str(path))) for _ in range(2))
+    assert run_whole(whole) == run_stepped(stepped)
+    assert state(whole) == state(stepped)
+    assert translated(whole.mem)
+
+
+def two_segment_elf(words: list[int], gap: int) -> bytes:
+    """``armenc.elf32(words)`` with a second, 4-byte PT_LOAD ``gap`` bytes
+    above the first: both program headers move to the end of the file."""
+    image = bytearray(armenc.elf32(words))
+    first = image[52:84]
+    top = armenc.BASE + len(image) + gap
+    second = struct.pack("<8I", 1, 0, top, top, 4, 4, 6, 0x1000)
+    struct.pack_into("<I", image, 28, len(image))  # e_phoff
+    struct.pack_into("<H", image, 44, 2)  # e_phnum
+    return bytes(image + first + second)
+
+
+def test_far_apart_segments_are_an_input_error(tmp_path, capsys):
+    words = [mov(0, ("#", 3)), mov(7, ("#", 1)), SVC0]
+    path = tmp_path / "near.elf"
+    path.write_bytes(two_segment_elf(words, 4096))
+    assert armvm.run(str(path)) == 3
+    path.write_bytes(two_segment_elf(words, 64 << 20))
+    assert armvm.main([str(path)]) == 125
+    reason = f"{64 << 20} bytes between loadable segments"
+    assert capsys.readouterr().err == f"armvm: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "missing BINARY"),
+    (["guest.elf", "--max-steps"], "--max-steps needs a value"),
+    (["guest.elf", "--max-steps", "ten"], "invalid literal for int() with base 10: 'ten'"),
+    (["--trace", "guest.elf"], "unknown option --trace"),
+])
+def test_command_line_usage_errors(capsys, argv, message):
+    assert armvm.main(argv) == 2
+    assert capsys.readouterr().err == f"{armvm.USAGE}\nxisa-armvm: error: {message}\n"
+
+
+def test_max_steps_with_equals_sign(tmp_path):
+    path = tmp_path / "loop.elf"
+    path.write_bytes(guests(0)[1].image)
+    proc = subprocess.run(
+        [sys.executable, "-m", "xisa.armvm", "--max-steps=10", str(path), "ignored"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stderr) == (-9, "armvm: instruction budget of 10 exhausted\n")
+
+
+def test_command_line_translates_with_one_armvm_module(tmp_path):
+    # run as __main__, armvm must not be imported again under its own name:
+    # the copy's handlers and faults would match none of the running ones
+    guest = guests(0, HOT_ITERATIONS)[1]
+    path = tmp_path / "loop.elf"
+    path.write_bytes(guest.image)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "xisa.armvm", str(path)],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == guest.exit_code
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "xisa.armblock" in imported and "xisa.armvm" not in imported
