@@ -39,6 +39,7 @@ from itertools import repeat
 STACK_TOP = 0x7FF0_0000
 STACK_SIZE = 1 << 20
 MAX_GAP = 1 << 20  # bytes between PT_LOAD segments; linkers leave under 64 KiB
+MAX_IMAGE = 16 << 20  # bytes from the lowest loaded address to the highest, zero-filled
 MASK32 = 0xFFFF_FFFF
 RRX = 4  # shift type beside LSL/LSR/ASR/ROR (0-3), as DecodeImmShift returns it
 # jumps to an address before the block there is translated: about where the
@@ -201,6 +202,8 @@ def load_elf(path: str) -> tuple[Memory, int]:
         if vaddr - top > MAX_GAP:  # one image spans the gap: refuse to allocate it
             raise ValueError(f"{path}: {vaddr - top} bytes between loadable segments")
         top = max(top, vaddr + memsz)
+    if top - base > MAX_IMAGE:  # every byte of the span is allocated and zeroed
+        raise ValueError(f"{path}: loadable segments span {top - base} bytes")
     image = bytearray(top - base)
     for vaddr, offset, filesz, _memsz in segments:
         image[vaddr - base : vaddr - base + filesz] = data[offset : offset + filesz]
@@ -639,7 +642,7 @@ class Cpu:
                     count = arrivals[pc] = arrivals.get(pc, 0) + 1
                     if count >= HOT:
                         from xisa import armblock
-                        block = blocks[pc] = armblock.translate(mem, pc)
+                        block = blocks[pc] = armblock.translate(mem, pc, globals())
                 if block is not None and block[0] <= left:
                     try:
                         pc = block[1](self)
@@ -715,6 +718,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    # ``armblock`` imports ``xisa.armvm``: let it find this module, not a copy
-    sys.modules["xisa.armvm"] = sys.modules[__name__]
     sys.exit(main())

@@ -28,10 +28,19 @@ def run_command(
     template: str, mapping: dict[str, str], timeout: float
 ) -> subprocess.CompletedProcess:
     """Run a rendered template.  A missing executable is an infrastructure
-    error; non-zero exits and timeouts are the caller's to interpret."""
+    error; non-zero exits and timeouts are the caller's to interpret.  A
+    step that runs this interpreter on ``-m MODULE`` or ``-c CODE`` runs in
+    a child forked from a warm interpreter (``forkserver``), with the same
+    result."""
     argv = render_command(template, mapping)
     if not argv:
         raise ToolchainError("empty command template", command=template)
+    if len(argv) > 2 and argv[0] == sys.executable and argv[1] in ("-m", "-c"):
+        from . import forkserver  # imports socket and select: only when first needed
+
+        proc = forkserver.run(argv, timeout)
+        if proc is not None:
+            return proc
     try:
         return subprocess.run(
             argv, capture_output=True, text=True, timeout=timeout, check=False

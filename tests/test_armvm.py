@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import runpy
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -565,6 +567,9 @@ MALFORMED_ELFS = {
         patched(EXIT_IMAGE, "<I", 56, len(EXIT_IMAGE)), "segment 0 lies outside the file"),
     "filesz_over_memsz": (
         patched(EXIT_IMAGE, "<I", 72, 4), "segment 0 has p_filesz > p_memsz"),
+    # 12 bytes of code declaring a 64 MB .bss: zero-filling it peaked at 78 MB RSS
+    "64_mb_memsz": (
+        patched(EXIT_IMAGE, "<I", 72, 64 << 20), f"loadable segments span {64 << 20} bytes"),
 }
 
 
@@ -576,6 +581,14 @@ def test_malformed_elf_is_an_input_error(tmp_path, capsys, data, reason):
         armvm.load_elf(str(path))
     assert armvm.main([str(path)]) == 125
     assert capsys.readouterr().err == f"armvm: {path}: {reason}\n"
+
+
+def test_an_image_of_max_image_bytes_loads(tmp_path):
+    path = tmp_path / "bss.elf"
+    path.write_bytes(patched(EXIT_IMAGE, "<I", 72, armvm.MAX_IMAGE))
+    mem, _entry = armvm.load_elf(str(path))
+    assert len(mem.image) == armvm.MAX_IMAGE
+    assert armvm.run(str(path)) == guests(0)[0].exit_code
 
 
 # --- single steps ---------------------------------------------------------------
@@ -1158,3 +1171,18 @@ def test_command_line_translates_with_one_armvm_module(tmp_path):
     assert proc.returncode == guest.exit_code
     imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
     assert "xisa.armblock" in imported and "xisa.armvm" not in imported
+
+
+@pytest.mark.parametrize("alter_sys", [False, True])
+def test_command_line_translates_under_runpy(tmp_path, monkeypatch, alter_sys):
+    # this copy of armvm is no module in sys.modules: armblock must render
+    # blocks for its handlers and faults, not for those of xisa.armvm
+    guest = guests(0, HOT_ITERATIONS)[1]
+    path = tmp_path / "loop.elf"
+    path.write_bytes(guest.image)
+    monkeypatch.setattr(sys, "argv", ["armvm", str(path)])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exit_info:
+        warnings.simplefilter("ignore", RuntimeWarning)  # xisa.armvm is imported here
+        runpy.run_module("xisa.armvm", run_name="__main__", alter_sys=alter_sys)
+    assert exit_info.value.code == guest.exit_code
+    assert sys.modules["xisa.armvm"] is armvm
