@@ -21,18 +21,16 @@ raises ``Stale`` right after itself.  A fault
 or exit inside a block leaves at the instruction that raised it:
 ``unwind`` finds which, from the line of the block's frame.
 
-A block is rendered for the armvm namespace whose ``Cpu.run`` asks for it
-(``translate``'s ``vm``), never for an imported copy: run as ``python -m``
-or through ``runpy``, armvm's handlers and faults are not those of
-``xisa.armvm``.
+Renderings are keyed by ``xisa.armvm``'s handlers and operand functions,
+built once at import: ``python -m xisa.armvm``, ``runpy`` and a forked step
+all run that one module, whose ``__main__`` is a separate file.
 """
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from xisa.armvm import Decoded, Memory
+from . import armvm
+from .armvm import Decoded, Memory
 
 MAX_LENGTH = 64  # words; bounds one compile and the budget a block needs
 NEVER = (float("inf"), None)  # fits no budget: the loop steps through it
@@ -42,72 +40,61 @@ STACK_BASES = (11, 13)  # fp and sp address the stack; other registers the image
 _NAMES = ("M", "S", "I", "U4", "U2", "P4", "P2", "code", "translated", "shift_c",
           "MemoryFault", "UndefinedInstruction", "Stale", "E")
 _WORD, _HALF = struct.Struct("<I"), struct.Struct("<H")
-# ConditionPassed as Python source, by cond >> 1 as armvm._CONDITIONS
-_CONDITIONS = ("cpu.z", "cpu.c", "cpu.n", "cpu.v", "cpu.c and not cpu.z",
-               "cpu.n == cpu.v", "not cpu.z and cpu.n == cpu.v")
-# data processing, by opcode as armvm._LOGICAL and _ARITHMETIC: the result of
-# each logical opcode, and AddWithCarry's (x, y, carry_in) and its flagless
+# ConditionPassed as Python source, by armvm's test for cond >> 1
+_CONDITIONS = dict(zip(armvm._CONDITIONS, (
+    "cpu.z", "cpu.c", "cpu.n", "cpu.v", "cpu.c and not cpu.z",
+    "cpu.n == cpu.v", "not cpu.z and cpu.n == cpu.v")))
+# data processing, by armvm's function for the opcode: the result of each
+# logical opcode, and AddWithCarry's (x, y, carry_in) and its flagless
 # result for each arithmetic one
-_LOGICAL = {0x0: "a & b", 0x1: "a ^ b", 0x8: "a & b", 0x9: "a ^ b", 0xC: "a | b",
-            0xD: "b", 0xE: "a & (b ^ M)", 0xF: "b ^ M"}
-_ARITHMETIC = {
+_LOGICAL = {armvm._LOGICAL[op]: source for op, source in {
+    0x0: "a & b", 0x1: "a ^ b", 0x8: "a & b", 0x9: "a ^ b", 0xC: "a | b",
+    0xD: "b", 0xE: "a & (b ^ M)", 0xF: "b ^ M"}.items()}
+_ARITHMETIC = {armvm._ARITHMETIC[op]: source for op, source in {
     0x2: ("a", "b ^ M", "1", "a - b & M"), 0x3: ("b", "a ^ M", "1", "b - a & M"),
     0x4: ("a", "b", "0", "a + b & M"), 0x5: ("a", "b", "cpu.c", "a + b + cpu.c & M"),
     0x6: ("a", "b ^ M", "cpu.c", "a - b - 1 + cpu.c & M"),
     0x7: ("b", "a ^ M", "cpu.c", "b - a - 1 + cpu.c & M"),
-    0xA: ("a", "b ^ M", "1", None), 0xB: ("a", "b", "0", None)}
+    0xA: ("a", "b ^ M", "1", None), 0xB: ("a", "b", "0", None)}.items()}
+_JUMPS = (armvm._branch, armvm._branch_link, armvm._branch_exchange)
 
 
 class Stale(Exception):
     """A store dropped translated code: the block stops right after it."""
 
 
-class _Context:
-    """What rendering reads: the memory's regions, "S" (the stack) and "I"
-    (the image), as (base, size), and the running armvm's handlers and
-    operand functions mapped to their renderings."""
-
-    def __init__(self, vm: dict, mem: Memory):
-        self.regions = {"S": (mem.stack_base, len(mem.stack)),
-                        "I": (mem.image_base, len(mem.image))}
-        self.renderers = {vm[render.__name__]: render for render in _RENDERERS}
-        self.conditions = dict(zip(vm["_CONDITIONS"], _CONDITIONS))
-        self.logical = {vm["_LOGICAL"][op]: source for op, source in _LOGICAL.items()}
-        self.arithmetic = {vm["_ARITHMETIC"][op]: source for op, source in _ARITHMETIC.items()}
-        self.conditional = vm["_conditional"]
-        self.jumps = (vm["_branch"], vm["_branch_link"], vm["_branch_exchange"])
-
-    def render(self, entry: Decoded) -> list[str] | None:
-        """Source lines for ``entry``, or None if its form has no rendering."""
-        render = self.renderers.get(entry[0])
-        return render(entry, self) if render else None
-
-    def ends(self, entry: Decoded) -> bool:
-        handler = entry[0]
-        if handler is self.conditional:
-            handler = entry[4][0]
-        return handler in self.jumps
+def _render(entry: Decoded, regions: dict) -> list[str] | None:
+    """Source lines for ``entry``, or None if its form has no rendering;
+    ``regions`` maps "S" (the stack) and "I" (the image) to (base, size)."""
+    render = _RENDERERS.get(entry[0])
+    return render(entry, regions) if render else None
 
 
-def translate(mem: Memory, start: int, vm: dict) -> tuple:
+def _ends(entry: Decoded) -> bool:
+    handler = entry[0]
+    if handler is armvm._conditional:
+        handler = entry[4][0]
+    return handler in _JUMPS
+
+
+def translate(mem: Memory, start: int) -> tuple:
     """The block at ``start`` as ``(length, function, start, owners)``:
     ``function(cpu)`` runs ``length`` instructions and returns the next pc;
     ``owners[line]`` is the instruction index a source line belongs to.
-    ``NEVER`` where no instruction could be rendered.  ``vm`` is the
-    namespace of the armvm that runs the block: its ``globals()``."""
+    ``NEVER`` where no instruction could be rendered."""
     entries, lines, owners = [], [], [0, 0, 0]  # lines 1-2: the header
-    ctx = _Context(vm, mem)
+    regions = {"S": (mem.stack_base, len(mem.stack)), "I": (mem.image_base, len(mem.image))}
     addr, ends = start, False
     while len(entries) < MAX_LENGTH and addr not in mem.patched:
         entry = mem.code.get(addr)
         if entry is None:
             try:
-                entry = vm["decode"](mem.load(addr, 4), addr)
-            except vm["MemoryFault"]:
+                entry = armvm.decode(mem.load(addr, 4), addr)
+            except armvm.MemoryFault:
                 break
-        body = ctx.render(entry)
+        body = _render(entry, regions)
         index = len(entries)
-        ends = body is None or ctx.ends(entry)
+        ends = body is None or _ends(entry)
         if body is None:
             body = [f"return E[{index}][0](cpu, E[{index}])"]
         lines += body
@@ -123,11 +110,11 @@ def translate(mem: Memory, start: int, vm: dict) -> tuple:
     for i, entry in enumerate(entries):
         mem.code[start + 4 * i] = entry
         mem.translated.add(start + 4 * i)
-    namespace = {"M": vm["MASK32"], "S": mem.stack, "I": mem.image, "U4": _WORD.unpack_from,
+    namespace = {"M": armvm.MASK32, "S": mem.stack, "I": mem.image, "U4": _WORD.unpack_from,
                  "U2": _HALF.unpack_from, "P4": _WORD.pack_into, "P2": _HALF.pack_into,
-                 "code": mem.code, "translated": mem.translated, "shift_c": vm["_shift_c"],
-                 "MemoryFault": vm["MemoryFault"],
-                 "UndefinedInstruction": vm["UndefinedInstruction"],
+                 "code": mem.code, "translated": mem.translated, "shift_c": armvm._shift_c,
+                 "MemoryFault": armvm.MemoryFault,
+                 "UndefinedInstruction": armvm.UndefinedInstruction,
                  "Stale": Stale, "E": entries}
     source = "\n    ".join([
         f"def block(cpu, {', '.join(f'{n}={n}' for n in _NAMES)}):", "r = cpu.regs", *lines])
@@ -172,7 +159,7 @@ def _shifter_carry(x: str, stype: int, amount: int) -> str:
     return f"{x} >> {bit} & 1 == 1"
 
 
-def _data_processing(e: Decoded, ctx: _Context) -> list[str] | None:
+def _data_processing(e: Decoded, regions: dict) -> list[str] | None:
     (_, rn, rd, logical, arithmetic, set_flags, rm, rs, stype, amount, b,
      carry, pc8, _nxt, _word, _pc) = e
     if rd == 15:
@@ -191,27 +178,27 @@ def _data_processing(e: Decoded, ctx: _Context) -> list[str] | None:
                 lines.append(f"sc = {_shifter_carry('b', stype, amount)}")
                 carry = "sc"
             lines.append(f"b = {_shifted('b', stype, amount)}")
-    if not logical or "a" in ctx.logical[logical]:  # MOV and MVN read no Rn
+    if not logical or "a" in _LOGICAL[logical]:  # MOV and MVN read no Rn
         lines.insert(0, f"a = {_reg(rn, pc8)}")
     if logical:
-        lines.append(f"v = {ctx.logical[logical]}")
+        lines.append(f"v = {_LOGICAL[logical]}")
         if set_flags:
             lines.append("cpu.n, cpu.z = v >> 31 == 1, v == 0")
             if carry:
                 lines.append(f"cpu.c = {carry}")
     elif set_flags:
-        x, y, carry_in, _ = ctx.arithmetic[arithmetic]
+        x, y, carry_in, _ = _ARITHMETIC[arithmetic]
         lines += [f"x = {x}", f"y = {y}", f"t = x + y + {carry_in}", "v = t & M",
                   "cpu.n, cpu.z, cpu.c = v >> 31 == 1, v == 0, t > M",
                   "cpu.v = (x ^ v) & (y ^ v) > 0x7FFFFFFF"]
     else:
-        lines.append(f"v = {ctx.arithmetic[arithmetic][3]}")
+        lines.append(f"v = {_ARITHMETIC[arithmetic][3]}")
     if rd is not None:
         lines.append(f"r[{rd}] = v")
     return lines
 
 
-def _multiply(e: Decoded, ctx: _Context) -> list[str]:
+def _multiply(e: Decoded, regions: dict) -> list[str]:
     _, rd, rn, rs, rm, accumulate, set_flags, _nxt = e
     total = f"r[{rm}] * r[{rs}] + r[{rn}]" if accumulate else f"r[{rm}] * r[{rs}]"
     lines = [f"v = r[{rd}] = {total} & M"]
@@ -220,7 +207,7 @@ def _multiply(e: Decoded, ctx: _Context) -> list[str]:
     return lines
 
 
-def _multiply_long(e: Decoded, ctx: _Context) -> list[str]:
+def _multiply_long(e: Decoded, regions: dict) -> list[str]:
     _, rdhi, rdlo, rs, rm, signed, accumulate, set_flags, _nxt = e
     lines = [f"x = r[{rm}]", f"y = r[{rs}]"]
     if signed:
@@ -261,7 +248,7 @@ def _store(regions: dict, rn: int, size: int, value: str, aligned: bool) -> list
             f"else: cpu.mem.store(a, {size}, {value})"]
 
 
-def _transfer(e: Decoded, ctx: _Context) -> list[str] | None:
+def _transfer(e: Decoded, regions: dict) -> list[str] | None:
     (_, rn, rd, rm, stype, amount, offset, up, pre, writeback, load, size, sign,
      align, pc8, _nxt, _word, _pc) = e
     if load and rd == 15:
@@ -285,11 +272,11 @@ def _transfer(e: Decoded, ctx: _Context) -> list[str] | None:
     if align:
         lines.append("if a & 3: raise MemoryFault(a)")
     if load:
-        lines.append(_load(ctx.regions, "v" if sign else f"r[{rd}]", rn, size))
+        lines.append(_load(regions, "v" if sign else f"r[{rd}]", rn, size))
         if sign:
             lines.append(f"r[{rd}] = v - {sign << 1} & M if v & {sign} else v")
     else:
-        lines += _store(ctx.regions, rn, size, _reg(rd, pc8), aligned=bool(align))
+        lines += _store(regions, rn, size, _reg(rd, pc8), aligned=bool(align))
     if writeback:
         lines.append(f"r[{rn}] = {'a' if pre else 'w'}")
     if not load:
@@ -297,7 +284,7 @@ def _transfer(e: Decoded, ctx: _Context) -> list[str] | None:
     return lines
 
 
-def _block_transfer(e: Decoded, ctx: _Context) -> list[str] | None:
+def _block_transfer(e: Decoded, regions: dict) -> list[str] | None:
     _, rn, reglist, lowest, final, writeback, load, pc8, _nxt, _word, _pc = e
     if load and 15 in reglist:
         return None
@@ -306,9 +293,9 @@ def _block_transfer(e: Decoded, ctx: _Context) -> list[str] | None:
         if n:
             lines.append("a = a + 4 & M")
         if load:
-            lines.append(_load(ctx.regions, f"r[{i}]", rn, 4))
+            lines.append(_load(regions, f"r[{i}]", rn, 4))
         else:
-            lines += _store(ctx.regions, rn, 4, _reg(i, pc8), aligned=False)
+            lines += _store(regions, rn, 4, _reg(i, pc8), aligned=False)
     if writeback:
         lines.append(f"r[{rn}] = w + {final} & M")
     if not load:
@@ -316,15 +303,15 @@ def _block_transfer(e: Decoded, ctx: _Context) -> list[str] | None:
     return lines
 
 
-def _branch(e: Decoded, ctx: _Context) -> list[str]:
+def _branch(e: Decoded, regions: dict) -> list[str]:
     return [f"return {e[1]}"]
 
 
-def _branch_link(e: Decoded, ctx: _Context) -> list[str]:
+def _branch_link(e: Decoded, regions: dict) -> list[str]:
     return [f"r[14] = {e[2]}", f"return {e[1]}"]
 
 
-def _branch_exchange(e: Decoded, ctx: _Context) -> list[str]:
+def _branch_exchange(e: Decoded, regions: dict) -> list[str]:
     _, rm, link, pc8, ret, word, pc = e
     lines = [f"t = {_reg(rm, pc8)}", f"if t & 1: raise UndefinedInstruction({word}, {pc})"]
     if link:
@@ -332,20 +319,21 @@ def _branch_exchange(e: Decoded, ctx: _Context) -> list[str]:
     return lines + ["return t"]
 
 
-def _conditional(e: Decoded, ctx: _Context) -> list[str] | None:
+def _conditional(e: Decoded, regions: dict) -> list[str] | None:
     _, test, skip_when, nxt, body = e
-    lines = ctx.render(body)
+    lines = _render(body, regions)
     if lines is None:
         return None
-    condition = ctx.conditions[test]
+    condition = _CONDITIONS[test]
     if skip_when:
         condition = f"not ({condition})"
     lines = [f"if {condition}:", *("    " + line for line in lines)]
-    if ctx.ends(body):
+    if _ends(body):
         lines.append(f"return {nxt}")
     return lines
 
 
 # each renders the armvm handler of the same name
-_RENDERERS = (_data_processing, _multiply, _multiply_long, _transfer, _block_transfer,
-              _branch, _branch_link, _branch_exchange, _conditional)
+_RENDERERS = {getattr(armvm, render.__name__): render for render in (
+    _data_processing, _multiply, _multiply_long, _transfer, _block_transfer,
+    _branch, _branch_link, _branch_exchange, _conditional)}

@@ -26,7 +26,10 @@ writes and every translated block if one holds such a word, so code that
 patches itself or runs from the stack stays correct.
 
 Intended as the ``emulate`` command of toolchain profiles on machines without
-qemu-user; run as ``python -m xisa.armvm BINARY``.
+qemu-user; run as ``python -m xisa.armvm BINARY``.  The package's
+``__main__`` only calls ``main``, so the command line, ``runpy``, importers
+and forked steps all run this one module, whose handlers ``armblock``
+renders.
 """
 from __future__ import annotations
 
@@ -171,7 +174,8 @@ class Memory:
 
 def load_elf(path: str) -> tuple[Memory, int]:
     """Map PT_LOAD segments of a 32-bit LE ARM ELF; returns (memory, entry)."""
-    data = open(path, "rb").read()
+    with open(path, "rb") as elf:
+        data = elf.read()
     if data[:4] != b"\x7fELF":
         raise ValueError(f"{path}: not an ELF file")
     if len(data) < 52:
@@ -642,7 +646,7 @@ class Cpu:
                     count = arrivals[pc] = arrivals.get(pc, 0) + 1
                     if count >= HOT:
                         from xisa import armblock
-                        block = blocks[pc] = armblock.translate(mem, pc, globals())
+                        block = blocks[pc] = armblock.translate(mem, pc)
                 if block is not None and block[0] <= left:
                     try:
                         pc = block[1](self)
@@ -716,6 +720,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"armvm: {exc}", file=sys.stderr)
         return 125
 
-
-if __name__ == "__main__":
-    sys.exit(main())

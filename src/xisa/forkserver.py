@@ -15,7 +15,12 @@ same ``sys.argv``, ``sys.path[0]`` and fresh ``__main__``, stdout and stderr
 on the request's files, every other descriptor but stdin closed, a traceback
 printed by ``sys.excepthook``, and the exit status of ``SystemExit``.
 ``run`` decodes the output as ``subprocess.run(..., text=True)`` does, so
-returncode, stdout and stderr are those of a fresh interpreter.
+returncode, stdout and stderr are those of a fresh interpreter.  Unlike a
+fresh interpreter's, a child's ``sys.modules`` holds what the server
+imported: its own modules and ``PRELOAD`` (``xisa.armvm`` and
+``xisa.armblock`` as they were on disk when the server started).  A preload
+that fails is skipped, and the step then fails in the child as it would in
+a fresh interpreter.
 
 Protocol: the harness holds one end of a ``SOCK_SEQPACKET`` pair, the
 server the other (its control socket).  A request is one message, the argv
@@ -43,14 +48,14 @@ import subprocess
 import sys
 import threading
 import types
-from importlib.machinery import BuiltinImporter, SourceFileLoader
+from importlib.machinery import BuiltinImporter
 
 MAX_REQUEST = 1 << 16  # bytes of argv; a longer command line runs as a subprocess
-# stdlib modules the bundled profiles' python steps import, loaded once in the
-# server; not xisa.armvm itself: runpy warns when the module it runs is loaded
-PRELOAD = ("__future__", "signal", "struct")
-# the sources of those steps, beside this file: compiled once in the server
-PRECOMPILE = ("armvm.py", "armblock.py")
+# what the bundled profiles' python steps import, loaded once in the server:
+# without cached bytecode (``PYTHONDONTWRITEBYTECODE``) compiling armvm cost
+# each guest run 8 ms on a 2-vCPU Xeon.  ``xisa.armvm`` is a package, so
+# runpy runs its ``__main__`` without warning that it is imported already.
+PRELOAD = ("xisa.armvm", "xisa.armblock")
 
 _lock = threading.Lock()
 _server: Server | None = None  # the server new requests go to
@@ -357,28 +362,10 @@ def _exit_status(code: object) -> int:
     return 1
 
 
-def _precompile(paths: list[str]) -> None:
-    """Compile ``paths`` here, once.  A child whose import reads the same
-    bytes from the same path gets that code object back, not a new compile
-    of it: without cached bytecode (``PYTHONDONTWRITEBYTECODE``) compiling
-    ``armvm.py`` cost each guest run 8 ms on a 2-vCPU Xeon.  A changed file
-    compiles anew."""
-    compiled = {}
-    for path in paths:
-        with open(path, "rb") as source:
-            data = source.read()
-        compiled[path, data] = compile(data, path, "exec", dont_inherit=True)
-    source_to_code = SourceFileLoader.source_to_code
-
-    def cached_source_to_code(self, data, path, *, _optimize=-1):
-        code = compiled.get((path, data)) if _optimize == -1 else None
-        return code or source_to_code(self, data, path, _optimize=_optimize)
-
-    SourceFileLoader.source_to_code = cached_source_to_code
-
-
 if __name__ == "__main__":
     for name in PRELOAD:
-        __import__(name)
-    _precompile([os.path.join(os.path.dirname(__file__), name) for name in PRECOMPILE])
+        try:
+            __import__(name)
+        except Exception:  # noqa: BLE001 - the step fails in the child as in a fresh interpreter
+            pass
     serve(socket.socket(fileno=int(sys.argv[1])))

@@ -1,6 +1,7 @@
 """Run configured command templates against the local toolchain."""
 from __future__ import annotations
 
+import re
 import shlex
 import subprocess
 import sys
@@ -9,19 +10,17 @@ from pathlib import Path
 from .errors import ToolchainError
 
 
-class _SafeMap(dict):
-    def __missing__(self, key: str) -> str:
-        return "{" + key + "}"
-
-
 # filesystem path of the shipped package data (start stubs, role tables)
 DATA_DIR = str(Path(__file__).resolve().parent / "data")
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
 
 
 def render_command(template: str, mapping: dict[str, str]) -> list[str]:
-    """Split a command template and substitute {placeholder} tokens."""
-    filled = _SafeMap({"python": sys.executable, "data": DATA_DIR, **mapping})
-    return [tok.format_map(filled) for tok in shlex.split(template)]
+    """Split a command template and substitute each ``{name}`` whose name is
+    ``python``, ``data`` or a key of ``mapping``; every other brace, such as
+    ``find``'s ``{}`` or an unknown ``{word}``, stays as it is."""
+    values = {"python": sys.executable, "data": DATA_DIR, **mapping}
+    return [_PLACEHOLDER.sub(lambda m: values.get(m[1], m[0]), tok) for tok in shlex.split(template)]
 
 
 def run_command(

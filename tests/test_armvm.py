@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -1159,8 +1160,8 @@ def test_max_steps_with_equals_sign(tmp_path):
 
 
 def test_command_line_translates_with_one_armvm_module(tmp_path):
-    # run as __main__, armvm must not be imported again under its own name:
-    # the copy's handlers and faults would match none of the running ones
+    # __main__ is the package's own file: the command line imports armvm once,
+    # under its name, and armblock renders blocks for that one module
     guest = guests(0, HOT_ITERATIONS)[1]
     path = tmp_path / "loop.elf"
     path.write_bytes(guest.image)
@@ -1169,8 +1170,34 @@ def test_command_line_translates_with_one_armvm_module(tmp_path):
         capture_output=True, text=True, timeout=20,
     )
     assert proc.returncode == guest.exit_code
-    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
-    assert "xisa.armblock" in imported and "xisa.armvm" not in imported
+    imported = Counter(line.rpartition("|")[2].strip() for line in proc.stderr.splitlines())
+    assert (imported["xisa.armvm"], imported["xisa.armblock"]) == (1, 1)
+
+
+def test_command_line_is_silent_in_development_mode(tmp_path):
+    # -X dev warns of a file left open; -W error turns any warning into stderr
+    for guest in guests(0, HOT_ITERATIONS):
+        path = tmp_path / f"{guest.name}.elf"
+        path.write_bytes(guest.image)
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "xisa.armvm", str(path)],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert (proc.returncode, proc.stderr) == (guest.exit_code, ""), guest.name
+
+
+@pytest.mark.parametrize("alter_sys", [False, True])
+def test_runpy_runs_the_imported_package_without_a_warning(tmp_path, monkeypatch, alter_sys):
+    # runpy warns when the module it runs is imported already, but not a package
+    guest = guests(0)[0]
+    path = tmp_path / "exit.elf"
+    path.write_bytes(guest.image)
+    monkeypatch.setattr(sys, "argv", ["armvm", str(path)])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exit_info:
+        warnings.simplefilter("error")
+        runpy.run_module("xisa.armvm", run_name="__main__", alter_sys=alter_sys)
+    assert exit_info.value.code == guest.exit_code
+    assert sys.modules["xisa.armvm"] is armvm
 
 
 @pytest.mark.parametrize("alter_sys", [False, True])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from xisa.core import (
 from xisa.dataset import read_store
 from xisa.errors import ConfigError, MalformedRecord
 from xisa.evaluation import read_results
+from xisa.toolrun import DATA_DIR, render_command
 
 
 def test_registry_has_four_isas():
@@ -145,6 +147,22 @@ def test_shipped_profiles_load(path):
         if cmds.assemble_link:
             assert sum("{candidate}" in step for step in cmds.assemble_link) == 1, isa
             assert "{output}" in cmds.assemble_link[-1], isa
+
+
+MAPPING = {"input": "in.c", "output": "out.s", "tmpdir": "/t", "raw": r"{output}\1"}
+
+
+@pytest.mark.parametrize("template,expected", [
+    ("cc -S {input} -o {output}", ["cc", "-S", "in.c", "-o", "out.s"]),
+    ("{python} -m xisa.armvm {input}", [sys.executable, "-m", "xisa.armvm", "in.c"]),
+    ("cp {data}/start.s {tmpdir}/", ["cp", f"{DATA_DIR}/start.s", "/t/"]),
+    ("find {tmpdir} -exec cat {} +", ["find", "/t", "-exec", "cat", "{}", "+"]),
+    ("echo {x:y} {{x}} {a!r} {0} {test_src}", ["echo", "{x:y}", "{{x}}", "{a!r}", "{0}", "{test_src}"]),
+    ("echo pre{input}post{", ["echo", "prein.cpost{"]),
+    ("cat {raw}", ["cat", r"{output}\1"]),  # a value is inserted as it is
+])
+def test_render_command_fills_only_known_placeholders(template, expected):
+    assert render_command(template, MAPPING) == expected
 
 
 def test_missing_command_named_in_error():

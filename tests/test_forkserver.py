@@ -105,6 +105,24 @@ def test_code_steps_match_a_fresh_interpreter(code, forked):
     assert forked
 
 
+def test_children_find_armvm_and_armblock_imported(forked):
+    code = "import sys; print('xisa.armvm' in sys.modules, 'xisa.armblock' in sys.modules)"
+    assert fields(toolrun.run_command(PY_CODE, {"code": code}, 60)) == (0, "True True\n", "")
+    assert forked
+
+
+def test_a_server_that_cannot_import_armvm_matches_a_fresh_interpreter(
+        tmp_path, monkeypatch, forked):
+    # no src on the path: the server's preload fails, and so does the step
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "exit.elf"
+    path.write_bytes(armenc.exit_guest(random.Random(0)).image)
+    for step in [(ARMVM, {"input": str(path)}), (PY_OK, {})]:
+        assert fields(toolrun.run_command(*step, 60)) == fields(fresh(*step)), step
+    assert len(forked) == 2
+
+
 def test_module_steps_see_a_fresh_main(tmp_path):
     # -m finds modules in the working directory: a harness that runs there
     (tmp_path / "probe.py").write_text(
